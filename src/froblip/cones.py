@@ -61,15 +61,6 @@ def cone_equal(a: Cone, b: Cone) -> bool:
     )
 
 
-def v_plus_equal(a: Cone, b: Cone) -> bool:
-    """Equality of the nonnegative-rational spans of the generator sets.
-
-    Over a common pseudo-basis the generators are integral, so rational and
-    real conical feasibility coincide and this is exactly cone equality.
-    """
-    return cone_equal(a, b)
-
-
 @dataclass(frozen=True)
 class HalfSpaceCertificate:
     """Exact rational functional with alpha . g > 0 for every generator."""

@@ -1,9 +1,12 @@
 """Decision procedures for bi-Lipschitz equivalence of dust-like systems.
 
-Pipeline: invariant screening (dimension, rank, cone, positive-rational
-span), the permutation fast path, the full-rank and two-branch deciders,
-and the iteration-permutation search which is complete for coplanar
-systems up to the search budget.
+Every fact about a pair is read from one pair context, built once per
+``decide`` call over a single merged pseudo-basis.  The stages run in
+this order, and the first verdict wins: the invariant screen (common
+basis, dimension, rank, cone), the permutation fast path, the
+axis-counting refutation, the full-rank and two-branch deciders, and the
+iteration-permutation search, which is complete for coplanar pairs up to
+its budget.
 """
 from __future__ import annotations
 
@@ -14,8 +17,8 @@ from typing import Optional
 
 import sympy
 
-from .cones import Cone, cone_equal, coplanar_functional, v_plus_equal
-from .errors import IncompatibleSymbolicBases, NotCoplanar
+from .cones import Cone, cone_equal, coplanar_functional
+from .errors import IncompatibleSymbolicBases
 from .lattice import integer_rank, reduce_to_pseudo_basis
 from .selfsimilar import ContractionSystem, ITERATION_BUDGET, common_basis, iterate
 
@@ -35,8 +38,31 @@ class Verdict:
     diagnostics: Optional[dict] = None
 
 
-def _ratio_multiset(system: ContractionSystem) -> Counter:
-    return Counter(system.ratios)
+@dataclass(frozen=True)
+class _Pair:
+    """Facts about a pair, computed once.  ``e2``/``f2`` are ``e``/``f``
+    over one merged pseudo-basis; ``points_*`` their distinct exponent
+    points (a multiset spans the cone of its set, and a repeated row of
+    <eta, X_j> = 1 is the same equation)."""
+
+    e: ContractionSystem
+    f: ContractionSystem
+    e2: ContractionSystem
+    f2: ContractionSystem
+    points_e: tuple
+    points_f: tuple
+    ranks: tuple
+    same_ratios: bool
+
+
+def _pair(e: ContractionSystem, f: ContractionSystem) -> _Pair:
+    """Raises IncompatibleSymbolicBases when the bases cannot be merged."""
+    _, e2, f2 = common_basis(e, f)
+    points_e = tuple(dict.fromkeys(e2.exponents))
+    points_f = tuple(dict.fromkeys(f2.exponents))
+    return _Pair(e, f, e2, f2, points_e, points_f,
+                 (integer_rank(points_e), integer_rank(points_f)),
+                 Counter(e.ratios) == Counter(f.ratios))
 
 
 def _dimension_polynomial(system: ContractionSystem):
@@ -58,53 +84,52 @@ def _symbolic_dimensions_equal(e: ContractionSystem, f: ContractionSystem) -> bo
     return sympy.Poly(g, sympy.Symbol("x")).count_roots(0, 1) >= 1
 
 
+def _screen(e: ContractionSystem, f: ContractionSystem):
+    """(pair context or None, first failing invariant's verdict or None)."""
+    try:
+        pair = _pair(e, f)
+    except IncompatibleSymbolicBases:
+        return None, Verdict(UNDECIDED, "NO_COMMON_BASIS")
+    if e.delta is not None and f.delta is not None:
+        if abs(e.delta - f.delta) > DIMENSION_TOL:
+            return pair, Verdict(NOT_EQUIVALENT, "dimension",
+                                 {"invariant": "dimension",
+                                  "values": [e.delta, f.delta]})
+    elif e.is_symbolic and f.is_symbolic and e.dim == 1 and f.dim == 1 \
+            and e.basis == f.basis:
+        if not _symbolic_dimensions_equal(e, f):
+            return pair, Verdict(NOT_EQUIVALENT, "dimension",
+                                 {"invariant": "dimension",
+                                  "values": ["distinct dimension-equation roots"]})
+    rank_e, rank_f = pair.ranks
+    if rank_e != rank_f:
+        return pair, Verdict(NOT_EQUIVALENT, "rank",
+                             {"invariant": "rank", "values": [rank_e, rank_f]})
+    if not cone_equal(Cone(pair.points_e), Cone(pair.points_f)):
+        return pair, Verdict(NOT_EQUIVALENT, "cone",
+                             {"invariant": "cone",
+                              "values": [list(map(list, pair.e2.exponents)),
+                                         list(map(list, pair.f2.exponents))]})
+    return pair, None
+
+
 def screen_invariants(e: ContractionSystem,
                       f: ContractionSystem) -> Optional[Verdict]:
     """Necessary-invariant screen; first failing invariant wins.
 
-    Checks, in order: Hausdorff dimension, rank, cone equality, and
-    equality of the positive-rational spans.  Returns None when all pass.
+    Checks, in order: a common pseudo-basis (UNDECIDED without one),
+    Hausdorff dimension, rank and cone equality.  Returns None when all
+    pass.
     """
-    try:
-        _, e2, f2 = common_basis(e, f)
-    except IncompatibleSymbolicBases:
-        return Verdict(UNDECIDED, "NO_COMMON_BASIS")
-    if e.delta is not None and f.delta is not None:
-        if abs(e.delta - f.delta) > DIMENSION_TOL:
-            return Verdict(NOT_EQUIVALENT, "dimension",
-                           {"invariant": "dimension",
-                            "values": [e.delta, f.delta]})
-    elif e.is_symbolic and f.is_symbolic and e.dim == 1 and f.dim == 1 \
-            and e.basis == f.basis:
-        if not _symbolic_dimensions_equal(e, f):
-            return Verdict(NOT_EQUIVALENT, "dimension",
-                           {"invariant": "dimension",
-                            "values": ["distinct dimension-equation roots"]})
-    rank_e = integer_rank(e2.exponents)
-    rank_f = integer_rank(f2.exponents)
-    if rank_e != rank_f:
-        return Verdict(NOT_EQUIVALENT, "rank",
-                       {"invariant": "rank", "values": [rank_e, rank_f]})
-    ce, cf = Cone(e2.exponents), Cone(f2.exponents)
-    if not cone_equal(ce, cf):
-        return Verdict(NOT_EQUIVALENT, "cone",
-                       {"invariant": "cone",
-                        "values": [list(map(list, e2.exponents)),
-                                   list(map(list, f2.exponents))]})
-    if not v_plus_equal(ce, cf):
-        return Verdict(NOT_EQUIVALENT, "v_plus",
-                       {"invariant": "v_plus", "values": []})
-    return None
+    return _screen(e, f)[1]
 
 
-def decide_full_rank(e: ContractionSystem,
-                     f: ContractionSystem) -> Optional[Verdict]:
+def _full_rank(pair: _Pair) -> Optional[Verdict]:
     """Full-rank decider: applies only when both exponent sets have rank
-    equal to their branch count; equivalence is then exactly permutation."""
-    if integer_rank(e.exponents) != e.m or integer_rank(f.exponents) != f.m:
+    equal to their branch count; equivalence is then exactly permutation,
+    which ``decide`` has already ruled out."""
+    if pair.ranks != (pair.e.m, pair.f.m):
         return None
-    if _ratio_multiset(e) == _ratio_multiset(f):
-        return Verdict(EQUIVALENT, "PERMUTATION", {"tag": "PERMUTATION"})
     return Verdict(NOT_EQUIVALENT, "full_rank_multiset",
                    {"invariant": "full_rank_multiset", "values": []})
 
@@ -119,14 +144,13 @@ def _two_branch_special(exps_a, exps_b) -> bool:
     return c >= 1 and b == [c, 5 * c] and a == [2 * c, 3 * c]
 
 
-def decide_two_branch(e: ContractionSystem,
-                      f: ContractionSystem) -> Optional[Verdict]:
-    """Complete decider for m = n = 2: permutation, or the one exceptional
-    pair of exponent patterns {5,1} vs {3,2} over the same rank-1 group."""
+def _two_branch(pair: _Pair) -> Optional[Verdict]:
+    """Complete decider for m = n = 2: permutation (already ruled out by
+    ``decide``), or the one exceptional pair of exponent patterns {5,1} vs
+    {3,2} over the same rank-1 group."""
+    e, f = pair.e, pair.f
     if e.m != 2 or f.m != 2:
         return None
-    if _ratio_multiset(e) == _ratio_multiset(f):
-        return Verdict(EQUIVALENT, "PERMUTATION", {"tag": "PERMUTATION"})
     if e.dim == 1 and f.dim == 1 and e.basis == f.basis:
         ea = [v[0] for v in e.exponents]
         fa = [v[0] for v in f.exponents]
@@ -204,16 +228,15 @@ def _axis_profile(vectors):
     return profile
 
 
-def _axis_counting(e2: ContractionSystem,
-                   f2: ContractionSystem) -> Optional[Verdict]:
+def _axis_counting(pair: _Pair) -> Optional[Verdict]:
     """Exact refutation for axis-supported systems over >= 2 axes.
 
     When every branch of both systems contracts along a single basis axis
     with one exponent value per axis, equivalence forces the ratio
     multisets to be permutations of each other; unequal multisets refute.
     """
-    prof_e = _axis_profile(e2.exponents)
-    prof_f = _axis_profile(f2.exponents)
+    prof_e = _axis_profile(pair.e2.exponents)
+    prof_f = _axis_profile(pair.f2.exponents)
     if prof_e is None or prof_f is None:
         return None
     if len(set(prof_e) | set(prof_f)) < 2:
@@ -242,49 +265,18 @@ def _iteration_search(e: ContractionSystem, f: ContractionSystem,
     for p, q in iteration_candidates(e.m, f.m, p_q_bound):
         e_it = iterate(e, p)
         f_it = iterate(f, q)
-        if _ratio_multiset(e_it) == _ratio_multiset(f_it):
+        if Counter(e_it.ratios) == Counter(f_it.ratios):
             cert = {"p": p, "q": q,
                     "permutation": _permutation_witness(e_it, f_it)}
             return Verdict(EQUIVALENT, "ITERATION_PERMUTATION", cert)
     return None
 
 
-def decide_coplanar(e: ContractionSystem, f: ContractionSystem,
-                    p_q_bound: int = 24) -> Verdict:
-    """Complete-up-to-budget decider for coplanar systems.
-
-    Searches iteration pairs (p, q); the axis-multiplicity counting
-    argument turns a failed search into an exact refutation for the
-    axis-supported family, and an impossible cardinality equation
-    m**p == n**q refutes outright.
-    """
-    _, e2, f2 = common_basis(e, f)
-    if not coplanar_functional(e2.exponents).present \
-            or not coplanar_functional(f2.exponents).present:
-        raise NotCoplanar("both systems must be coplanar")
-    if _ratio_multiset(e) == _ratio_multiset(f):
-        return Verdict(EQUIVALENT, "ITERATION_PERMUTATION",
-                       {"p": 1, "q": 1,
-                        "permutation": _permutation_witness(e2, f2)})
-    counted = _axis_counting(e2, f2)
-    if counted is not None:
-        return counted
-    if not cardinality_solvable(e.m, f.m):
-        return Verdict(NOT_EQUIVALENT, "NO_ITERATION_CARDINALITY",
-                       {"invariant": "NO_ITERATION_CARDINALITY",
-                        "values": [e.m, f.m]})
-    found = _iteration_search(e, f, p_q_bound)
-    if found is not None:
-        return found
-    return Verdict(UNDECIDED, "SEARCH_BOUND",
-                   {"p_q_bound": p_q_bound})
-
-
-def _gamma_diagnostics(e: ContractionSystem, f: ContractionSystem) -> dict:
+def _gamma_diagnostics(pair: _Pair) -> dict:
     """Empirical growth comparison along a few shared interior directions."""
     from .frobenius import estimate_gamma, make_defining_data
 
-    _, e2, f2 = common_basis(e, f)
+    e2, f2 = pair.e2, pair.f2
     _, joint = reduce_to_pseudo_basis(
         e2.basis, list(e2.exponents) + list(f2.exponents))
     ve, vf = joint[: e2.m], joint[e2.m:]
@@ -303,36 +295,36 @@ def _gamma_diagnostics(e: ContractionSystem, f: ContractionSystem) -> dict:
 
 def decide(e: ContractionSystem, f: ContractionSystem,
            p_q_bound: int = 24, diagnostics: bool = False) -> Verdict:
-    """Full decision pipeline.
+    """Full decision pipeline; the first stage with a verdict wins.
 
-    Screening, permutation fast path, the full-rank and two-branch
-    deciders, then the iteration search (complete for coplanar pairs up to
-    the budget).  Pairs outside every decidable family come back UNDECIDED,
-    optionally with growth-function diagnostics attached.
+    The pair's merged basis, distinct exponent points, ranks and
+    ratio-multiset equality are computed once.  Stages, in run order: the
+    invariant screen, the permutation fast path, the axis-counting
+    refutation, the full-rank and two-branch deciders, the cardinality
+    refutation m**p != n**q (coplanar pairs only) and the
+    iteration-permutation search up to ``p_q_bound``.  What the search
+    leaves open is UNDECIDED: SEARCH_BOUND for coplanar pairs, else
+    OUTSIDE_DECIDABLE_FAMILIES, optionally with growth diagnostics.
     """
-    screened = screen_invariants(e, f)
-    if screened is not None:
-        return screened
-    if _ratio_multiset(e) == _ratio_multiset(f):
+    pair, verdict = _screen(e, f)
+    if verdict is not None:
+        return verdict
+    if pair.same_ratios:
         return Verdict(EQUIVALENT, "PERMUTATION", {"tag": "PERMUTATION"})
-    _, e2, f2 = common_basis(e, f)
-    counted = _axis_counting(e2, f2)
-    if counted is not None:
-        return counted
-    verdict = decide_full_rank(e, f)
-    if verdict is not None:
-        return verdict
-    verdict = decide_two_branch(e, f)
-    if verdict is not None:
-        return verdict
-    both_coplanar = coplanar_functional(e2.exponents).present and \
-        coplanar_functional(f2.exponents).present
-    if both_coplanar:
-        return decide_coplanar(e, f, p_q_bound)
+    for stage in (_axis_counting, _full_rank, _two_branch):
+        verdict = stage(pair)
+        if verdict is not None:
+            return verdict
+    coplanar = coplanar_functional(pair.points_e).present and \
+        coplanar_functional(pair.points_f).present
+    if coplanar and not cardinality_solvable(e.m, f.m):
+        return Verdict(NOT_EQUIVALENT, "NO_ITERATION_CARDINALITY",
+                       {"invariant": "NO_ITERATION_CARDINALITY",
+                        "values": [e.m, f.m]})
     found = _iteration_search(e, f, p_q_bound)
     if found is not None:
         return found
-    diag = None
-    if diagnostics:
-        diag = _gamma_diagnostics(e, f)
+    if coplanar:
+        return Verdict(UNDECIDED, "SEARCH_BOUND", {"p_q_bound": p_q_bound})
+    diag = _gamma_diagnostics(pair) if diagnostics else None
     return Verdict(UNDECIDED, "OUTSIDE_DECIDABLE_FAMILIES", None, diag)

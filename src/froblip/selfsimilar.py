@@ -37,6 +37,7 @@ TIE_EPS = 1e-12
 MP_PRECISION = 200  # bits, for e^{-k} threshold comparisons
 DEFAULT_WORD_BUDGET = 500_000
 ITERATION_BUDGET = 10 ** 6
+WITNESS_BUDGET = 2000  # words per cut-set up to which matchable builds a witness
 
 
 @dataclass(frozen=True)
@@ -386,8 +387,47 @@ class MatchReport:
     witness: Optional[tuple]
 
 
+def _matcher(e: ContractionSystem, f: ContractionSystem, t: Threshold,
+             witness_budget: int = WITNESS_BUDGET):
+    """``m0 -> MatchReport``, over one merged basis and one pair of cut
+    multisets computed here once; each call solves one flow."""
+    _, e2, f2 = common_basis(e, f)
+    left = cut_multiset(e2, t)
+    right = cut_multiset(f2, t)
+    if not left or not right:
+        raise FroblipError("empty cut-set")
+    small = max(sum(left.values()), sum(right.values())) <= witness_budget
+
+    def match(m0: int) -> MatchReport:
+        m0_sq = m0 * m0
+
+        def allowed(z, w):
+            return sum((x - y) ** 2 for x, y in zip(z, w)) <= m0_sq
+
+        pairs = flows.degree_constrained_relation(left, right, allowed, m0)
+        if pairs is None:
+            return MatchReport(False, m0, None, None)
+        witness = None
+        if small:
+            cs_e = cut_set(e2, t)
+            cs_f = cut_set(f2, t)
+            edges = [
+                (i, j)
+                for i, ze in enumerate(cs_e.exponents)
+                for j, zf in enumerate(cs_f.exponents)
+                if allowed(ze, zf)
+            ]
+            rel = flows.word_level_relation(len(cs_e.words), len(cs_f.words),
+                                            edges, m0)
+            if rel is not None:
+                witness = tuple((cs_e.words[i], cs_f.words[j]) for i, j in rel)
+        return MatchReport(True, m0, sum(pairs.values()), witness)
+
+    return match
+
+
 def matchable(e: ContractionSystem, f: ContractionSystem, t: Threshold,
-              m0: int, witness_budget: int = 2000) -> MatchReport:
+              m0: int, witness_budget: int = WITNESS_BUDGET) -> MatchReport:
     """Feasibility of a degree-[1, m0] relation between the two cut-sets
     with exponent distance at most m0 on every related pair.
 
@@ -398,46 +438,21 @@ def matchable(e: ContractionSystem, f: ContractionSystem, t: Threshold,
     """
     if m0 < 1:
         raise FroblipError("m0 must be >= 1")
-    _, e2, f2 = common_basis(e, f)
-    left = cut_multiset(e2, t)
-    right = cut_multiset(f2, t)
-    if not left or not right:
-        raise FroblipError("empty cut-set")
-    m0_sq = m0 * m0
-
-    def allowed(z, w):
-        return sum((x - y) ** 2 for x, y in zip(z, w)) <= m0_sq
-
-    pairs = flows.degree_constrained_relation(left, right, allowed, m0)
-    if pairs is None:
-        return MatchReport(False, m0, None, None)
-    size = sum(pairs.values())
-    witness = None
-    n_left = sum(left.values())
-    n_right = sum(right.values())
-    if n_left <= witness_budget and n_right <= witness_budget:
-        cs_e = cut_set(e2, t)
-        cs_f = cut_set(f2, t)
-        edges = [
-            (i, j)
-            for i, ze in enumerate(cs_e.exponents)
-            for j, zf in enumerate(cs_f.exponents)
-            if allowed(ze, zf)
-        ]
-        rel = flows.word_level_relation(len(cs_e.words), len(cs_f.words),
-                                        edges, m0)
-        if rel is not None:
-            witness = tuple((cs_e.words[i], cs_f.words[j]) for i, j in rel)
-    return MatchReport(True, m0, size, witness)
+    return _matcher(e, f, t, witness_budget)(m0)
 
 
 def matchable_search(e: ContractionSystem, f: ContractionSystem, t: Threshold,
                      m0_limit: int = 64) -> MatchReport:
-    """Doubling probe for the smallest feasible m0 <= m0_limit."""
+    """The first feasible m0 among 1, 2, 4, ... up to ``m0_limit``.
+
+    Doubling only, so a smaller m0 above the last infeasible probe may
+    also be feasible.  The cut multisets are computed once for all probes.
+    """
+    match = _matcher(e, f, t)
     m0 = 1
     report = None
     while m0 <= m0_limit:
-        report = matchable(e, f, t, m0)
+        report = match(m0)
         if report.feasible:
             return report
         m0 *= 2

@@ -10,7 +10,6 @@ from froblip.cones import (
     cone_member,
     coplanar_functional,
     half_space_certificate,
-    v_plus_equal,
 )
 from froblip.errors import DimensionMismatch, NoHalfSpace
 
@@ -59,7 +58,6 @@ def test_cone_equal_and_v_plus():
     a = Cone(((1, 0), (0, 1)))
     b = Cone(((2, 0), (1, 1), (0, 3)))
     assert cone_equal(a, b)
-    assert v_plus_equal(a, b)
     narrow = Cone(((2, 1), (1, 2)))
     assert not cone_equal(a, narrow)
 
