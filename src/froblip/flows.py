@@ -18,29 +18,37 @@ _INF = 10 ** 18
 
 
 def _circulation_feasible(nodes, arcs):
-    """arcs: list of (u, v, low, cap).  Returns flow dict per arc or None."""
+    """arcs: list of (u, v, low, cap).  Returns flow dict per arc or None.
+
+    The flow runs on integer ids given in the order of ``nodes``: labels
+    such as strings hash differently under each PYTHONHASHSEED, and
+    networkx would then return a different (equally valid) flow.
+    """
+    ids = {n: i for i, n in enumerate(nodes)}
+    ss, tt = len(nodes), len(nodes) + 1
     G = nx.DiGraph()
-    G.add_nodes_from(nodes + ["_SS", "_TT"])
-    excess = {n: 0 for n in nodes}
+    G.add_nodes_from(range(len(nodes) + 2))
+    excess = [0] * len(nodes)
     for u, v, low, cap in arcs:
         if cap < low:
             return None
-        if G.has_edge(u, v):
+        iu, iv = ids[u], ids[v]
+        if G.has_edge(iu, iv):
             raise ValueError("parallel arcs not supported")
-        G.add_edge(u, v, capacity=cap - low)
-        excess[v] += low
-        excess[u] -= low
+        G.add_edge(iu, iv, capacity=cap - low)
+        excess[iv] += low
+        excess[iu] -= low
     total = 0
-    for n in nodes:
-        if excess[n] > 0:
-            G.add_edge("_SS", n, capacity=excess[n])
-            total += excess[n]
-        elif excess[n] < 0:
-            G.add_edge(n, "_TT", capacity=-excess[n])
-    value, flow = nx.maximum_flow(G, "_SS", "_TT")
+    for i, x in enumerate(excess):
+        if x > 0:
+            G.add_edge(ss, i, capacity=x)
+            total += x
+        elif x < 0:
+            G.add_edge(i, tt, capacity=-x)
+    value, flow = nx.maximum_flow(G, ss, tt)
     if value != total:
         return None
-    return {(u, v): flow[u][v] + low for u, v, low, cap in arcs}
+    return {(u, v): flow[ids[u]][ids[v]] + low for u, v, low, cap in arcs}
 
 
 def degree_constrained_relation(left_counts: dict, right_counts: dict,

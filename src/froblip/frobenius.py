@@ -265,38 +265,3 @@ def frobenius_number_1d(a: Sequence[int]) -> int:
         reach[i] = any(i >= v and reach[i - v] for v in a)
     return max(i for i in range(limit + 1) if not reach[i])
 
-
-def relative_density_radius(data: DefiningData, probe_bound,
-                            table: Optional[MultiplicityTable] = None) -> float:
-    """Empirical relative-denseness radius of the semigroup in its cone.
-
-    Probes a half-integer grid of cone points with score in
-    [probe_bound/2, 3*probe_bound/4] and reports the largest distance to
-    the semigroup.  Diagnostic only, never used in decision logic.
-    """
-    K = Fraction(probe_bound)
-    if table is None:
-        table = build_multiplicity(data, K)
-    pts = [z for z, m in table.counts.items() if m >= 1]
-    if not pts:
-        raise FroblipError("empty semigroup table")
-    arr = np.array(pts, dtype=float)
-    lo = arr.min(axis=0) - 1.0
-    hi = arr.max(axis=0) + 1.0
-    s = data.dim
-    axes = [np.arange(lo[i], hi[i] + 0.25, 0.5) for i in range(s)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=-1)
-    alpha = np.array([float(a) for a in data.alpha])
-    scores = coords @ alpha
-    band = (scores >= float(K) / 2) & (scores <= 3 * float(K) / 4)
-    coords = coords[band]
-    if coords.shape[0] > 200_000:
-        raise ResourceLimit("density probe grid too large")
-    worst = 0.0
-    for x in coords:
-        if not cone_member(tuple(_snap(float(v)) for v in x), data.cone):
-            continue
-        d = math.sqrt(float(np.min(np.sum((arr - x) ** 2, axis=1))))
-        worst = max(worst, d)
-    return worst

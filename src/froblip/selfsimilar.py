@@ -447,6 +447,7 @@ def matchable_search(e: ContractionSystem, f: ContractionSystem, t: Threshold,
 
     Doubling only, so a smaller m0 above the last infeasible probe may
     also be feasible.  The cut multisets are computed once for all probes.
+    When no probe is feasible, the last probe's report is returned.
     """
     match = _matcher(e, f, t)
     m0 = 1

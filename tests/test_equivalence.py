@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from froblip import equivalence
 from froblip.equivalence import (
     EQUIVALENT,
     NOT_EQUIVALENT,
@@ -189,3 +190,32 @@ def test_certificate_json_shape():
     b = build_system(["1/4"] * 4)
     v = decide(a, b)
     assert set(v.certificate) == {"p", "q", "permutation"}
+
+
+def test_demo_pair_outside_families_diagnostics():
+    # equal dimension 1, but 3**p == 4**q has no solution
+    a = build_system(["1/2", "1/4", "1/4"])
+    b = build_system(["1/4", "1/4", "1/4", "1/4"])
+    v = decide(a, b, diagnostics=True)
+    assert (v.result, v.reason) == (UNDECIDED, "OUTSIDE_DECIDABLE_FAMILIES")
+    assert set(v.diagnostics) == {"theta", "gamma_e", "gamma_f", "gap"}
+
+
+@pytest.mark.parametrize("a, b, reason", [
+    (build_system(["1/6", "1/10"]), build_system(["1/10", "1/6"]),
+     "PERMUTATION"),
+    (build_system(["1/2", "1/2"]), build_system(["1/4"] * 4),
+     "ITERATION_PERMUTATION"),
+    (sym({"l": 5}, {"l": 1}), sym({"l": 3}, {"l": 2}), "TWO_BRANCH_SPECIAL"),
+], ids=["permutation", "iteration", "two_branch"])
+def test_decide_merges_bases_once(monkeypatch, a, b, reason):
+    calls = []
+    real = equivalence.common_basis
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(equivalence, "common_basis", counted)
+    assert decide(a, b).reason == reason
+    assert len(calls) == 1

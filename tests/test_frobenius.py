@@ -17,7 +17,6 @@ from froblip.frobenius import (
     log_big,
     make_defining_data,
     multiplicity_at,
-    relative_density_radius,
 )
 
 F = Fraction
@@ -156,9 +155,3 @@ def test_frobenius_number_gcd_guard():
     with pytest.raises(FroblipError):
         frobenius_number_1d([5])
 
-
-def test_relative_density_radius_diagonal_lattice():
-    # the full quadrant lattice is 1/2-dense on the half-integer grid
-    data = make_defining_data(((1, 0), (0, 1)))
-    r = relative_density_radius(data, F(20))
-    assert r <= math.sqrt(2) / 2 + 1e-9

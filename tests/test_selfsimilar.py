@@ -1,9 +1,15 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import froblip
+from froblip import flows, selfsimilar
 from froblip.errors import (
     BasisMismatch,
     FroblipError,
@@ -239,6 +245,56 @@ def test_matchable_infeasible_distance():
     rep = matchable_search(a, b, ExpThreshold(F(1)))
     assert rep.feasible
     assert rep.m0 == 8
+    # doubling returns the first feasible power of two: its half fails
+    assert not matchable(a, b, ExpThreshold(F(1)), rep.m0 // 2).feasible
+
+
+def test_matchable_search_cuts_once(monkeypatch):
+    # one pair of cut multisets serves every m0 probe
+    cuts, probes = [], []
+    real_cut, real_flow = selfsimilar.cut_multiset, flows.degree_constrained_relation
+
+    def counted_cut(*args, **kwargs):
+        cuts.append(args)
+        return real_cut(*args, **kwargs)
+
+    def counted_flow(*args, **kwargs):
+        probes.append(args[3])
+        return real_flow(*args, **kwargs)
+
+    monkeypatch.setattr(selfsimilar, "cut_multiset", counted_cut)
+    monkeypatch.setattr(flows, "degree_constrained_relation", counted_flow)
+    a = build_system(["1/2", "1/2"])
+    b = build_system(["1/4", "1/4", "1/4", "1/4"])
+    rep = matchable_search(a, b, ExpThreshold(F(2)))
+    assert rep.feasible and rep.m0 == 2
+    assert probes == [1, 2]
+    assert len(cuts) == 2
+
+
+MATCH_SCRIPT = """
+import json
+from froblip import ExpThreshold, build_system, matchable
+from froblip.serialize import match_report_to_json
+rep = matchable(build_system(["1/2", "1/3"]),
+                build_system(["1/4", "1/6", "1/6", "1/9"]), ExpThreshold(4), 4)
+print(json.dumps(match_report_to_json(rep)))
+"""
+
+
+def test_matchable_witness_independent_of_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(froblip.__file__)))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", MATCH_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        outs.append(proc.stdout)
+    assert json.loads(outs[0])["witness"]
+    assert outs[0] == outs[1]
 
 
 def test_matchable_deep_aggregated_only():
