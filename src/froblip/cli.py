@@ -21,6 +21,7 @@ from .frobenius import (
     build_multiplicity,
     estimate_gamma,
     frobenius_number_1d,
+    gamma_table_bound,
     make_defining_data,
 )
 from .growth import analytic_gamma
@@ -105,11 +106,14 @@ def cmd_gamma(args) -> int:
         thetas = [tuple(float(t) for t in args.theta.split(","))]
     else:
         thetas = _sweep_directions(system, args.dirs)
+    thetas = [tuple(t / math.sqrt(sum(u * u for u in th)) for t in th)
+              for th in thetas]
     table = None
+    if want_empirical:  # one table, deep enough for every direction
+        table = build_multiplicity(data, max(
+            gamma_table_bound(data, th, args.k_max) for th in thetas))
     rows = []
     for theta in thetas:
-        norm = math.sqrt(sum(t * t for t in theta))
-        theta = tuple(t / norm for t in theta)
         row = {"theta": theta, "gamma_analytic": None,
                "gamma_empirical": None, "stderr": None}
         if want_analytic:

@@ -5,11 +5,13 @@ X_1..X_m with X_j . alpha > 0, the number of words over {1..m} whose step
 sum reaches a lattice point z.  Counts are exact big integers, computed by
 a dynamic program processed in increasing z . alpha order (every
 predecessor of a point has strictly smaller score, so the recurrence is
-well-founded).
+well-founded).  Off the lattice, counts extend by the nearest-point rule,
+searched exactly in lattice boxes around the query.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,11 +70,8 @@ def make_defining_data(vectors: Sequence[Sequence[int]],
 
 
 def _dp_counts(vectors, step_scores, bound, point_budget):
-    """Shared DP core: counts over all points with score <= bound.
-
-    ``step_scores`` may be Fractions (exact) or mpmath floats; scores only
-    order the sweep and gate the bound, counts themselves are exact ints.
-    """
+    """Counts over all points with score <= bound, in increasing score
+    order; every predecessor of a point is counted before it."""
     s = len(vectors[0])
     zero = (0,) * s
     counts = {}
@@ -112,10 +111,6 @@ class MultiplicityTable:
     counts: dict = field(repr=False)
 
     @property
-    def max_step(self) -> Fraction:
-        return max(self.data.score(v) for v in self.data.vectors)
-
-    @property
     def fully_determined_bound(self) -> Fraction:
         """Score level below which nearest-point queries are safe.
 
@@ -149,40 +144,25 @@ def multiplicity_at(table: MultiplicityTable, x: Sequence) -> int:
 
     Lattice points of the semigroup return their exact count; any other
     point in the cone returns the minimum count among the nearest semigroup
-    points, with distance ties resolved exactly on squared distances.
+    points.  The search looks up the lattice points in boxes of half-width
+    1, 2, 4, R_CAP around x and stops at the first box holding a table
+    point within that half-width (no point outside the box is as near);
+    squared distances are exact integers over x's common denominator.
     """
     xs = tuple(_snap(v) for v in x)
     if table.data.score(xs) > table.fully_determined_bound:
         raise QueryOutOfRange("query beyond the table's determined region")
-    if all(v.denominator == 1 for v in xs):
-        key = tuple(int(v) for v in xs)
-        if table.counts.get(key, 0) >= 1:
-            return table.counts[key]
-    xf = np.array([float(v) for v in xs])
-    # float prefilter, then exact comparison on the shortlisted candidates
-    best_f = None
-    pts = []
-    for z, m in table.counts.items():
-        if m < 1:
-            continue
-        d2 = float(np.sum((np.array(z, dtype=float) - xf) ** 2))
-        pts.append((d2, z, m))
-        if best_f is None or d2 < best_f:
-            best_f = d2
-    if best_f is None or best_f > R_CAP ** 2 + 1:
-        raise QueryOutOfRange("no semigroup point within the search radius")
-    shortlist = [(z, m) for d2, z, m in pts if d2 <= best_f + 1e-6]
-    best_d2 = None
-    best_m = None
-    for z, m in shortlist:
-        d2 = sum((Fraction(zi) - xi) ** 2 for zi, xi in zip(z, xs))
-        if best_d2 is None or d2 < best_d2:
-            best_d2, best_m = d2, m
-        elif d2 == best_d2 and m < best_m:
-            best_m = m
-    if best_d2 > Fraction(R_CAP ** 2):
-        raise QueryOutOfRange("no semigroup point within the search radius")
-    return best_m
+    den = math.lcm(*(v.denominator for v in xs))
+    num = [int(v * den) for v in xs]
+    for r in (1, 2, 4, R_CAP):
+        reach = r * den  # the lattice points within r of x in every coordinate
+        box = itertools.product(*(range(-((reach - n) // den), (n + reach) // den + 1)
+                                  for n in num))
+        near = [(d2, table.counts[z]) for z in box if z in table.counts and
+                (d2 := sum((zi * den - n) ** 2 for zi, n in zip(z, num))) <= reach * reach]
+        if near:
+            return min(near)[1]
+    raise QueryOutOfRange("no semigroup point within the search radius")
 
 
 def log_big(n: int) -> float:
@@ -203,6 +183,25 @@ class GrowthEstimate:
     stderr: float
 
 
+def _unit(theta: Sequence[float]):
+    """theta scaled to unit length, in floats and snapped."""
+    norm = math.sqrt(sum(float(t) ** 2 for t in theta))
+    th = tuple(float(t) / norm for t in theta)
+    return th, tuple(_snap(t) for t in th)
+
+
+def gamma_table_bound(data: DefiningData, theta: Sequence[float],
+                      k_max: float = 120.0) -> Fraction:
+    """Table bound at which every estimate_gamma query along theta up to
+    k_max is determined; any larger bound gives the same answers.  The
+    score is clamped at 0 so that a direction outside the cone, which
+    estimate_gamma rejects, still gets a valid bound."""
+    theta_score = max(float(data.score(_unit(theta)[1])), 0.0)
+    alpha_norm = math.sqrt(sum(float(a) ** 2 for a in data.alpha))
+    max_step = float(max(data.score(v) for v in data.vectors))
+    return Fraction(math.ceil(k_max * theta_score + R_CAP * alpha_norm + max_step + 2))
+
+
 def estimate_gamma(data: DefiningData, theta: Sequence[float],
                    k_max: float = 120.0, k_count: int = 12,
                    table: Optional[MultiplicityTable] = None,
@@ -212,22 +211,16 @@ def estimate_gamma(data: DefiningData, theta: Sequence[float],
     Samples k_count geometrically spaced radii up to k_max and fits an
     ordinary least-squares line; the slope estimator suppresses the
     O(log k / k) bias of polynomial prefactors in the counts.  Boundary
-    directions are accepted (with slower convergence).
+    directions are accepted (with slower convergence).  Without a table,
+    one is built at ``gamma_table_bound``; a given table must reach it.
     """
-    norm = math.sqrt(sum(float(t) ** 2 for t in theta))
-    th = tuple(float(t) / norm for t in theta)
-    th_snap = tuple(_snap(t) for t in th)
+    th, th_snap = _unit(theta)
     if not cone_member(th_snap, data.cone):
         raise DirectionOutsideCone(f"direction {th} outside the cone")
     ks = np.geomspace(k_max / 16.0, k_max, k_count)
     if table is None:
-        theta_score = float(data.score(th_snap))
-        alpha_norm = math.sqrt(sum(float(a) ** 2 for a in data.alpha))
-        bound = Fraction(
-            math.ceil(k_max * theta_score + R_CAP * alpha_norm + float(  # noqa: E501
-                max(data.score(v) for v in data.vectors)) + 2)
-        )
-        table = build_multiplicity(data, bound, point_budget)
+        table = build_multiplicity(data, gamma_table_bound(data, theta, k_max),
+                                   point_budget)
     samples = []
     for k in ks:
         point = tuple(k * t for t in th)

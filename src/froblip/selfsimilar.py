@@ -449,6 +449,8 @@ def matchable_search(e: ContractionSystem, f: ContractionSystem, t: Threshold,
     also be feasible.  The cut multisets are computed once for all probes.
     When no probe is feasible, the last probe's report is returned.
     """
+    if m0_limit < 1:
+        raise FroblipError("m0_limit must be >= 1")
     match = _matcher(e, f, t)
     m0 = 1
     report = None

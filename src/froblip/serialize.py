@@ -129,9 +129,7 @@ def table_csv_lines(table) -> list:
     lines = [CSV_HEADER,
              ",".join([f"z_{i + 1}" for i in range(s)] + ["m"])]
     for z in sorted(table.counts):
-        m = table.counts[z]
-        if m >= 1:
-            lines.append(",".join([str(c) for c in z] + [str(m)]))
+        lines.append(",".join([str(c) for c in z] + [str(table.counts[z])]))
     return lines
 
 

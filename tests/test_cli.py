@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import froblip
+from froblip import cli, frobenius, serialize
 from froblip.cli import main
 
 
@@ -120,6 +125,32 @@ def test_gamma_analytic_noncoplanar_domain_error(tmp_path, capsys):
     assert "NotCoplanar" in out.err
 
 
+def test_gamma_sweep_builds_one_table(tmp_path, capsys, monkeypatch):
+    p = write(tmp_path, "three.json", {"rationals": ["1/2", "1/3", "1/6"]})
+    bounds = []
+    real_build = frobenius.build_multiplicity
+
+    def counted_build(data, bound, *args, **kwargs):
+        bounds.append(bound)
+        return real_build(data, bound, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_multiplicity", counted_build)
+    monkeypatch.setattr(frobenius, "build_multiplicity", counted_build)
+    assert main(["gamma", p, "--dirs", "5", "--empirical"]) == 0
+    out = capsys.readouterr().out
+    assert len(bounds) == 1
+    # the rows each direction gives with a table of its own
+    system = serialize.load_system(p)
+    data = frobenius.make_defining_data(system.exponents, system.alpha)
+    rows = []
+    for theta in cli._sweep_directions(system, 5):
+        est = frobenius.estimate_gamma(data, theta, table=None)
+        rows.append({"theta": est.theta, "gamma_empirical": est.gamma_hat,
+                     "stderr": est.stderr})
+    assert len(bounds) == 6 and bounds[0] == max(bounds[1:])
+    assert out == "\n".join(serialize.sweep_csv_lines(rows, 2)) + "\n"
+
+
 def test_multiplicity_csv(tmp_path, capsys):
     p = write(tmp_path, "binom.json",
               {"generators": ["a", "b"], "monomials": [[1, 0], [0, 1]]})
@@ -147,6 +178,20 @@ def test_matchable_json(tmp_path, capsys, half, quarters):
     doc = json.loads(capsys.readouterr().out)
     assert doc["feasible"] is True
     assert doc["m0"] <= 2
+
+
+def test_matchable_search_m0_limit_zero_exit_4(half, quarters):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(froblip.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "froblip.cli", "matchable", half, quarters,
+         "--exp-k", "3", "--search", "--m0-limit", "0"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == "error: m0_limit must be >= 1\n"
 
 
 def test_frobenius1d(capsys):

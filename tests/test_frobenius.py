@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,11 @@ from froblip.errors import (
     FroblipError,
     GcdNotOne,
     QueryOutOfRange,
+    ResourceLimit,
 )
 from froblip.frobenius import (
+    R_CAP,
+    SNAP_DENOM,
     build_multiplicity,
     estimate_gamma,
     frobenius_number_1d,
@@ -101,6 +105,78 @@ def test_multiplicity_at_out_of_range():
     table = build_multiplicity(data, F(10))
     with pytest.raises(QueryOutOfRange):
         multiplicity_at(table, (30.0, 30.0))
+
+
+def nearest_oracle(table, x):
+    """Oracle: scan every table point with exact squared distances (over
+    the query's common denominator); ties go to the smallest count."""
+    xs = [F(round(v * SNAP_DENOM), SNAP_DENOM) if isinstance(v, float) else F(v)
+          for v in x]
+    if table.data.score(xs) > table.fully_determined_bound:
+        raise QueryOutOfRange("beyond the determined region")
+    den = math.lcm(*(v.denominator for v in xs))
+    num = [v.numerator * (den // v.denominator) for v in xs]
+    d2, m = min((sum((zi * den - n) ** 2 for zi, n in zip(z, num)), m)
+                for z, m in table.counts.items())
+    if F(d2, den * den) > R_CAP ** 2:
+        raise QueryOutOfRange("no point within R_CAP")
+    return m
+
+
+def _oracle_outcome(fn, table, x):
+    try:
+        return fn(table, x)
+    except QueryOutOfRange:
+        return QueryOutOfRange
+
+
+@pytest.mark.parametrize("vectors, bound", [
+    (((3,), (5,)), 60),
+    (((2, -1), (1, 1)), 24),
+    (((2, 0), (1, 1), (0, 2)), 30),
+    (((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)), 12),
+])
+def test_multiplicity_at_matches_nearest_oracle(vectors, bound):
+    data = make_defining_data(vectors)
+    table = build_multiplicity(data, bound)
+    s = data.dim
+    rng = random.Random(s * 1009 + len(vectors))
+    top = float(bound)
+    queries = [(-8.0,) + (0.0,) * (s - 1), (-8.5,) + (0.0,) * (s - 1),
+               (-12.5,) * s, (top,) * s]
+    for _ in range(100):
+        queries.append(tuple(rng.uniform(-2.0, top / 2) for _ in range(s)))
+        # half-integers: exact distance ties between lattice points
+        queries.append(tuple(rng.randrange(-4, int(top)) / 2 for _ in range(s)))
+        queries.append(tuple(F(rng.randrange(-8, 8 * int(top)), 8)
+                             for _ in range(s)))
+    outcomes = set()
+    for x in queries:
+        want = _oracle_outcome(nearest_oracle, table, x)
+        assert _oracle_outcome(multiplicity_at, table, x) == want, x
+        outcomes.add(want is QueryOutOfRange)
+    assert outcomes == {True, False}
+
+
+def test_counts_large_denominator_alpha():
+    # a certificate with large denominators (their lcm is about 10^12):
+    # the counts still match word enumeration
+    vectors = ((1, 0), (0, 1), (1, 1))
+    data = make_defining_data(vectors, (F(1, 999983), F(3, 999979)))
+    min_step = min(data.score(v) for v in vectors)
+    bound = 8 * min_step
+    table = build_multiplicity(data, bound)
+    oracle = brute_force_counts(vectors, 8)
+    want = {z: c for z, c in oracle.items() if data.score(z) <= bound}
+    assert table.counts == want
+
+
+def test_point_budget_is_the_table_size():
+    data = make_defining_data(((1, 0), (0, 1), (1, 1)))
+    size = len(build_multiplicity(data, 12).counts)
+    assert len(build_multiplicity(data, 12, point_budget=size).counts) == size
+    with pytest.raises(ResourceLimit):
+        build_multiplicity(data, 12, point_budget=size - 1)
 
 
 def test_log_big():

@@ -272,6 +272,18 @@ def test_matchable_search_cuts_once(monkeypatch):
     assert len(cuts) == 2
 
 
+def test_matchable_search_rejects_m0_limit_below_1(monkeypatch):
+    def no_cut_work(*args, **kwargs):
+        raise AssertionError("cut-set work before the m0_limit check")
+
+    monkeypatch.setattr(selfsimilar, "common_basis", no_cut_work)
+    monkeypatch.setattr(selfsimilar, "cut_multiset", no_cut_work)
+    a = build_system(["1/2", "1/2"])
+    b = build_system(["1/4", "1/4", "1/4", "1/4"])
+    with pytest.raises(FroblipError, match="m0_limit must be >= 1"):
+        matchable_search(a, b, ExpThreshold(F(3)), m0_limit=0)
+
+
 MATCH_SCRIPT = """
 import json
 from froblip import ExpThreshold, build_system, matchable
