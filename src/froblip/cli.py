@@ -14,9 +14,10 @@ from fractions import Fraction
 from typing import Optional
 
 from . import serialize
-from .cones import coplanar_functional
+from .cones import cone_member, coplanar_functional
 from .equivalence import EQUIVALENT, NOT_EQUIVALENT, decide
 from .errors import FroblipError, ParseError, ResourceLimit
+from .frobenius import _check_radii, _snap, _unit
 from .frobenius import (
     build_multiplicity,
     estimate_gamma,
@@ -47,6 +48,14 @@ def _emit_json(doc, out: Optional[str]):
     _emit(json.dumps(doc, indent=2, sort_keys=True), out)
 
 
+def _parse(kind, text: str, flag: str):
+    """``kind(text)`` for an option's value, or ParseError."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad {flag} value {text!r}") from None
+
+
 def _sweep_directions(system, n: int):
     """n directions inside the exponent cone.
 
@@ -54,9 +63,8 @@ def _sweep_directions(system, n: int):
     generators; dimension 3: Fibonacci-sphere points clipped to the cone;
     dimension 1: the single ray.
     """
-    from .cones import cone_member
-    from .frobenius import _snap
-
+    if n < 1:
+        raise FroblipError(f"--dirs must be >= 1, got {n}")
     s = system.dim
     cone = system.cone()
     if s == 1:
@@ -103,13 +111,14 @@ def cmd_gamma(args) -> int:
     if want_analytic and not eta.present:
         raise FroblipError("NotCoplanar: no analytic growth for this system")
     if args.theta:
-        thetas = [tuple(float(t) for t in args.theta.split(","))]
+        thetas = [tuple(_parse(float, t, "--theta")
+                        for t in args.theta.split(","))]
     else:
         thetas = _sweep_directions(system, args.dirs)
-    thetas = [tuple(t / math.sqrt(sum(u * u for u in th)) for t in th)
-              for th in thetas]
+    thetas = [_unit(th)[0] for th in thetas]
     table = None
     if want_empirical:  # one table, deep enough for every direction
+        _check_radii(args.k_max, args.k_count)
         table = build_multiplicity(data, max(
             gamma_table_bound(data, th, args.k_max) for th in thetas))
     rows = []
@@ -144,7 +153,7 @@ def cmd_decide(args) -> int:
 def cmd_multiplicity(args) -> int:
     system = serialize.load_system(args.system)
     data = make_defining_data(system.exponents, system.alpha)
-    table = build_multiplicity(data, Fraction(args.bound))
+    table = build_multiplicity(data, _parse(Fraction, args.bound, "--bound"))
     _emit("\n".join(serialize.table_csv_lines(table)), args.out)
     return 0
 
@@ -154,7 +163,7 @@ def cmd_cutset(args) -> int:
     if args.t is not None:
         t = parse_rational(args.t)
     elif args.exp_k is not None:
-        t = ExpThreshold(Fraction(args.exp_k))
+        t = ExpThreshold(_parse(Fraction, args.exp_k, "--exp-k"))
     else:
         raise ParseError("cutset needs --t or --exp-k")
     cs = cut_set(system, t)
@@ -168,7 +177,7 @@ def cmd_matchable(args) -> int:
     if args.t is not None:
         t = parse_rational(args.t)
     elif args.exp_k is not None:
-        t = ExpThreshold(Fraction(args.exp_k))
+        t = ExpThreshold(_parse(Fraction, args.exp_k, "--exp-k"))
     else:
         raise ParseError("matchable needs --t or --exp-k")
     if args.search:

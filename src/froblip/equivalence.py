@@ -15,11 +15,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-import sympy
-
 from .cones import Cone, cone_equal, coplanar_functional
 from .errors import IncompatibleSymbolicBases
-from .lattice import integer_rank, reduce_to_pseudo_basis
+from .lattice import factor_integer, integer_rank, reduce_to_pseudo_basis
 from .selfsimilar import ContractionSystem, ITERATION_BUDGET, common_basis, iterate
 
 EQUIVALENT = "EQUIVALENT"
@@ -65,23 +63,21 @@ def _pair(e: ContractionSystem, f: ContractionSystem) -> _Pair:
                  Counter(e.ratios) == Counter(f.ratios))
 
 
-def _dimension_polynomial(system: ContractionSystem):
-    x = sympy.Symbol("x")
-    expr = sum(x ** int(e[0]) for e in system.exponents) - 1
-    return sympy.Poly(expr, x)
-
-
 def _symbolic_dimensions_equal(e: ContractionSystem, f: ContractionSystem) -> bool:
     """Exact comparison for rank-1 symbolic systems over one generator.
 
     Each dimension equation reduces to a polynomial with a unique root in
     (0,1); the dimensions agree iff the polynomial gcd still has a root
-    there.
+    there.  sympy is imported here, for this check only.
     """
-    g = sympy.gcd(_dimension_polynomial(e), _dimension_polynomial(f))
+    import sympy
+
+    x = sympy.Symbol("x")
+    g = sympy.gcd(*(sympy.Poly(sum(x ** int(v[0]) for v in s.exponents) - 1, x)
+                    for s in (e, f)))
     if g.total_degree() == 0:
         return False
-    return sympy.Poly(g, sympy.Symbol("x")).count_roots(0, 1) >= 1
+    return sympy.Poly(g, x).count_roots(0, 1) >= 1
 
 
 def _screen(e: ContractionSystem, f: ContractionSystem):
@@ -163,14 +159,9 @@ def _two_branch(pair: _Pair) -> Optional[Verdict]:
 
 def _primitive_root(n: int):
     """(root, exponent) with n == root**exponent and root not a perfect power."""
-    fac = sympy.factorint(n)
-    g = 0
-    for exp in fac.values():
-        g = math.gcd(g, exp)
-    root = 1
-    for p, exp in fac.items():
-        root *= int(p) ** (exp // g)
-    return root, g
+    fac = factor_integer(n)
+    g = math.gcd(*fac.values())
+    return math.prod(p ** (exp // g) for p, exp in fac.items()), g
 
 
 def cardinality_solvable(m: int, n: int) -> bool:

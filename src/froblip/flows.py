@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import networkx as nx
-
 _INF = 10 ** 18
 
 
@@ -24,6 +22,8 @@ def _circulation_feasible(nodes, arcs):
     such as strings hash differently under each PYTHONHASHSEED, and
     networkx would then return a different (equally valid) flow.
     """
+    import networkx as nx
+
     ids = {n: i for i, n in enumerate(nodes)}
     ss, tt = len(nodes), len(nodes) + 1
     G = nx.DiGraph()

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .cones import Cone, HalfSpaceCertificate, cone_member, half_space_certificate
 from .errors import (
     DirectionOutsideCone,
@@ -184,10 +182,23 @@ class GrowthEstimate:
 
 
 def _unit(theta: Sequence[float]):
-    """theta scaled to unit length, in floats and snapped."""
-    norm = math.sqrt(sum(float(t) ** 2 for t in theta))
+    """theta scaled to unit length, in floats and snapped; a direction
+    without a finite nonzero float length raises FroblipError."""
+    try:
+        norm = math.sqrt(sum(float(t) ** 2 for t in theta))
+    except OverflowError:
+        norm = math.inf
+    if not 0 < norm < math.inf:
+        raise FroblipError(f"direction {tuple(theta)} has no finite nonzero length")
     th = tuple(float(t) / norm for t in theta)
     return th, tuple(_snap(t) for t in th)
+
+
+def _check_radii(k_max: float, k_count: int = 2):
+    """Raise FroblipError unless 0 < k_max < inf and k_count >= 2."""
+    if not (0 < k_max < math.inf and k_count >= 2):
+        raise FroblipError(f"need 0 < k_max < inf and k_count >= 2, "
+                           f"got k_max={k_max}, k_count={k_count}")
 
 
 def gamma_table_bound(data: DefiningData, theta: Sequence[float],
@@ -196,6 +207,7 @@ def gamma_table_bound(data: DefiningData, theta: Sequence[float],
     k_max is determined; any larger bound gives the same answers.  The
     score is clamped at 0 so that a direction outside the cone, which
     estimate_gamma rejects, still gets a valid bound."""
+    _check_radii(k_max)
     theta_score = max(float(data.score(_unit(theta)[1])), 0.0)
     alpha_norm = math.sqrt(sum(float(a) ** 2 for a in data.alpha))
     max_step = float(max(data.score(v) for v in data.vectors))
@@ -214,6 +226,9 @@ def estimate_gamma(data: DefiningData, theta: Sequence[float],
     directions are accepted (with slower convergence).  Without a table,
     one is built at ``gamma_table_bound``; a given table must reach it.
     """
+    import numpy as np
+
+    _check_radii(k_max, k_count)
     th, th_snap = _unit(theta)
     if not cone_member(th_snap, data.cone):
         raise DirectionOutsideCone(f"direction {th} outside the cone")

@@ -8,17 +8,14 @@ are first restricted to the minimal face of the hull, found by exact LP.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import ratlp
 from .cones import Cone, CoplanarFunctional, cone_member
 from .errors import DirectionOutsideCone, NotCoplanar, TargetOutsideHull
-from .frobenius import SNAP_DENOM, DefiningData, _snap
+from .frobenius import SNAP_DENOM, DefiningData, _snap, _unit
 
 MOMENT_TOL = 1e-12
 MAX_NEWTON_ITERS = 80
@@ -99,11 +96,6 @@ def _minimal_face(vectors, target):
     return support
 
 
-def _entropy(p: np.ndarray) -> float:
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)))
-
-
 def max_entropy(vectors: Sequence[Sequence[int]], target: Sequence) -> EntropySolution:
     """Maximize entropy of p subject to sum p_j X_j = target, sum p_j = 1.
 
@@ -121,6 +113,8 @@ def max_entropy(vectors: Sequence[Sequence[int]], target: Sequence) -> EntropySo
     other target raises TargetOutsideHull.  The moment equations are solved
     for that accepted point.
     """
+    import numpy as np
+
     point = _hull_point(vectors, target)
     support = _minimal_face(vectors, point)
     m = len(vectors)
@@ -166,8 +160,9 @@ def max_entropy(vectors: Sequence[Sequence[int]], target: Sequence) -> EntropySo
     p_full = np.zeros(m)
     for j, pj in zip(support, p):
         p_full[j] = pj
-    return EntropySolution(tuple(p_full), _entropy(p), tuple(beta),
-                           tuple(support), res)
+    nz = p[p > 0]
+    value = float(-np.sum(nz * np.log(nz)))
+    return EntropySolution(tuple(p_full), value, tuple(beta), tuple(support), res)
 
 
 def analytic_gamma(data: DefiningData, eta: CoplanarFunctional,
@@ -179,9 +174,7 @@ def analytic_gamma(data: DefiningData, eta: CoplanarFunctional,
     """
     if not eta.present:
         raise NotCoplanar("defining data admits no coplanarity functional")
-    norm = math.sqrt(sum(float(t) ** 2 for t in theta))
-    th = tuple(float(t) / norm for t in theta)
-    th_snap = tuple(_snap(t) for t in th)
+    th, th_snap = _unit(theta)
     if not cone_member(th_snap, Cone(tuple(data.vectors))):
         raise DirectionOutsideCone(f"direction {th} outside the cone")
     # exact scale and target so the target sits exactly on the affine

@@ -3,7 +3,8 @@
 A ratio in (0,1) is represented as an integer exponent vector over a
 pseudo-basis: a tuple of values in (0,1) (exact rationals, or formal named
 generators for symbolic systems) such that every ratio is a monomial in the
-basis.  All linear algebra here is exact integer arithmetic.
+basis.  All linear algebra here is exact integer arithmetic.  Integers are
+factored by trial division below 2^16, and by sympy only beyond its reach.
 """
 from __future__ import annotations
 
@@ -11,11 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-import sympy
-
 from .errors import DimensionMismatch, FroblipError, ParseError
 
 Vec = tuple  # tuple of ints
+TRIAL_LIMIT = 2 ** 16  # trial divisors; a cofactor below TRIAL_LIMIT**2 is prime
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,25 @@ def parse_rational(text: str) -> Fraction:
     return r
 
 
+def factor_integer(n: int) -> dict:
+    """{prime: exponent} of a positive integer, primes ascending."""
+    if n < 1:
+        raise FroblipError(f"cannot factor {n}")
+    out, d = {}, 2
+    while d < TRIAL_LIMIT and d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if 1 < n < d * d:  # no prime factor below d, so n is prime
+        out[n] = 1
+    elif n > 1:
+        import sympy
+
+        out.update((int(p), int(e)) for p, e in sorted(sympy.factorint(n).items()))
+    return out
+
+
 def factor_rationals(ratios: Sequence[Fraction]):
     """Factor exact rational ratios over the reciprocal-prime basis.
 
@@ -135,8 +154,9 @@ def factor_rationals(ratios: Sequence[Fraction]):
     factorizations = []
     primes = set()
     for r in ratios:
-        f = sympy.factorrat(sympy.Rational(r.numerator, r.denominator))
-        f = {int(p): int(e) for p, e in f.items()}
+        f = factor_integer(r.numerator)
+        for p, e in factor_integer(r.denominator).items():
+            f[p] = -e
         primes.update(f)
         factorizations.append(f)
     plist = sorted(primes)

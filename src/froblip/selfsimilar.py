@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import mpmath
-
 from . import flows
 from .cones import Cone, half_space_certificate
 from .errors import (
@@ -199,6 +197,8 @@ def iterate(system: ContractionSystem, p: int,
 
 
 def _mp_alpha(system: ContractionSystem):
+    import mpmath
+
     with mpmath.workprec(MP_PRECISION):
         return tuple(-mpmath.log(mpmath.mpf(v.numerator) / v.denominator)
                      for v in system.basis.values)
@@ -232,6 +232,8 @@ def _ratio_below(system: ContractionSystem, exponent, t: Threshold,
                     "exponent thresholds on symbolic systems need rank 1"
                 )
             return Fraction(exponent[0]) >= t.k
+        import mpmath
+
         with mpmath.workprec(MP_PRECISION):
             score = mpmath.fsum(a * e for a, e in zip(mp_alpha, exponent))
             diff = score - mpmath.mpf(t.k.numerator) / t.k.denominator

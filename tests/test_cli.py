@@ -180,15 +180,19 @@ def test_matchable_json(tmp_path, capsys, half, quarters):
     assert doc["m0"] <= 2
 
 
-def test_matchable_search_m0_limit_zero_exit_4(half, quarters):
+def run_python(*args):
+    """A fresh interpreter with this checkout's froblip on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(froblip.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-m", "froblip.cli", "matchable", half, quarters,
-         "--exp-k", "3", "--search", "--m0-limit", "0"],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_matchable_search_m0_limit_zero_exit_4(half, quarters):
+    proc = run_python("-m", "froblip.cli", "matchable", half, quarters,
+                      "--exp-k", "3", "--search", "--m0-limit", "0")
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert proc.stderr == "error: m0_limit must be >= 1\n"
@@ -217,3 +221,69 @@ def test_output_file(tmp_path, half, quarters):
     assert main(["decide", half, quarters, "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["result"] == "EQUIVALENT"
+
+
+BAD_ARGUMENTS = [
+    (["gamma", "{s2}", "--theta=0,0"], 4),
+    (["gamma", "{s2}", "--theta=nan,1"], 4),
+    (["gamma", "{s2}", "--theta=inf,1"], 4),
+    (["gamma", "{s2}", "--theta=1e200,1e200"], 4),  # the norm overflows
+    (["gamma", "{s2}", "--theta=1,x"], 2),
+    (["gamma", "{s2}", "--dirs", "0"], 4),
+    (["gamma", "{s2}", "--k-max", "0"], 4),
+    (["gamma", "{s2}", "--k-max", "inf"], 4),
+    (["gamma", "{s2}", "--k-count", "0"], 4),
+    (["gamma", "{s2}", "--k-count", "1"], 4),  # one sample: no slope
+    (["multiplicity", "{s2}", "--bound", "abc"], 2),
+    (["multiplicity", "{s2}", "--bound", "1/0"], 2),
+    (["multiplicity", "{s2}", "--bound", "0"], 4),
+    (["cutset", "{s2}", "--exp-k", "abc"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", BAD_ARGUMENTS, ids=[
+    " ".join([a[0], *a[2:]]) for a, _ in BAD_ARGUMENTS])
+def test_bad_argument_typed_error(tmp_path, argv, code):
+    s2 = write(tmp_path, "s2.json", {"rationals": ["1/2", "1/3"]})
+    proc = run_python("-m", "froblip.cli", *(a.format(s2=s2) for a in argv))
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+
+
+HEAVY = ("mpmath", "networkx", "numpy", "sympy")
+GUARD = (
+    "import sys\n"
+    "import froblip, froblip.cli\n"
+    "rc = froblip.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    f"print(rc, *(m for m in {HEAVY!r} if m in sys.modules))\n"
+)
+
+
+@pytest.mark.parametrize("argv, rc, banned", [
+    ([], 0, HEAVY),
+    (["build", "{half}"], 0, HEAVY),
+    (["decide", "{half}", "{quarters}"], 0, HEAVY),
+    (["decide", "{half}", "{thirds}"], 10, HEAVY),
+    (["cutset", "{half}", "--t", "1/8"], 0, HEAVY),
+    (["multiplicity", "{half}", "--bound", "10"], 0, HEAVY),
+    (["gamma", "{half}", "--dirs", "1", "--k-max", "30"], 0,
+     ("networkx", "sympy")),
+    (["matchable", "{half}", "{quarters}", "--exp-k", "3", "--search"], 0,
+     ("numpy",)),
+], ids=["import", "build", "decide", "decide-refuted", "cutset-t",
+        "multiplicity", "gamma", "matchable-exp-k"])
+def test_commands_import_only_what_they_call(tmp_path, half, quarters,
+                                             argv, rc, banned):
+    paths = {"half": half, "quarters": quarters,
+             "thirds": write(tmp_path, "thirds.json",
+                             {"rationals": ["1/3", "1/3", "1/3"]})}
+    argv = [a.format(**paths) for a in argv]
+    if argv:
+        argv += ["-o", str(tmp_path / "out")]
+    proc = run_python("-c", GUARD, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert int(code) == rc
+    assert not set(loaded) & set(banned), loaded

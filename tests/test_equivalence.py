@@ -7,6 +7,7 @@ from froblip.equivalence import (
     EQUIVALENT,
     NOT_EQUIVALENT,
     UNDECIDED,
+    cardinality_solvable,
     decide,
     iteration_candidates,
     screen_invariants,
@@ -156,6 +157,27 @@ def test_iteration_candidates_power_pair():
     assert cands[0] == (2, 3)
     assert iteration_candidates(2, 3, 10) == []
     assert iteration_candidates(6, 12, 10) == []
+
+
+def test_cardinality_and_candidates_match_brute_force():
+    # every (p, q) that iteration_candidates may return at bound 12 is
+    # among the enumerated ones, and m**p == n**q with m, n <= 64 has its
+    # smallest solution at p, q <= 6 when it has one
+    bound = 12
+    for m in range(2, 65):
+        for n in range(2, 65):
+            powers = [(p, q) for p in range(1, bound + 1)
+                      for q in range(1, bound + 1) if m ** p == n ** q]
+            assert cardinality_solvable(m, n) == bool(powers), (m, n)
+            for budget in (10 ** 6, 10 ** 30):
+                want = sorted(((p, q) for p, q in powers
+                               if m ** p <= budget and n ** q <= budget),
+                              key=lambda pq: (pq[0] + pq[1], pq[0]))
+                assert iteration_candidates(m, n, bound, budget) == want
+    perfect_powers = {b ** k for b in range(2, 71) for k in range(2, 13)}
+    for n in range(2, 5000):
+        root, g = equivalence._primitive_root(n)
+        assert root ** g == n and root not in perfect_powers, n
 
 
 def test_iteration_candidates_budget():

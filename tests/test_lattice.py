@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from froblip.errors import FroblipError, ParseError
 from froblip.lattice import (
     Monomial,
     PseudoBasis,
     express_over_hnf,
+    factor_integer,
     factor_rationals,
     integer_rank,
     parse_rational,
@@ -50,6 +53,58 @@ def test_factor_rationals_round_trip():
     assert basis.values == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
     for r, x in zip(ratios, vectors):
         assert basis.eval_exact(x) == r
+
+
+def _two_large_primes(rng):
+    """p * q with primes above 2^16, so trial division leaves the whole
+    product (at least 2^32) to the sympy fallback."""
+    return sympy.nextprime(rng.randrange(2 ** 16, 2 ** 24)) * \
+        sympy.nextprime(rng.randrange(2 ** 16, 2 ** 40))
+
+
+def _seeded(draw):
+    return lambda rng: [draw(rng) for _ in range(40)]
+
+
+FACTOR_FAMILIES = {
+    "edges": lambda rng: [1, 2, 3, 4, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1,
+                          (2 ** 16 + 1) ** 2, 65521 * 65537, 2 ** 32 - 1,
+                          2 ** 32 - 5, 2 ** 61 - 1, 2 ** 89 - 1],
+    "up_to_1e6": _seeded(lambda rng: rng.randrange(1, 10 ** 6)),
+    "up_to_1e12": _seeded(lambda rng: rng.randrange(1, 10 ** 12)),
+    "two_large_primes": _seeded(_two_large_primes),
+    "up_to_1e30": _seeded(lambda rng: rng.randrange(1, 10 ** 30)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FACTOR_FAMILIES))
+def test_factor_integer_matches_sympy(family):
+    for n in FACTOR_FAMILIES[family](random.Random(f"factor-{family}")):
+        got = factor_integer(n)
+        assert got == {int(p): e for p, e in sympy.factorint(n).items()}, n
+        assert list(got) == sorted(got)
+
+
+def test_factor_integer_rejects_nonpositive():
+    for n in (0, -6):
+        with pytest.raises(FroblipError):
+            factor_integer(n)
+
+
+def test_factor_rationals_rebuilds_seeded_ratios():
+    rng = random.Random(5)
+    for hi in (10 ** 3, 10 ** 6, 10 ** 12):
+        ratios = []
+        while len(ratios) < 6:
+            a, b = rng.randrange(1, hi), rng.randrange(1, hi)
+            if a != b:
+                ratios.append(Fraction(min(a, b), max(a, b)))
+        basis, vectors = factor_rationals(ratios)
+        assert list(basis.values) == sorted(basis.values, reverse=True)
+        assert all(v.numerator == 1 and sympy.isprime(v.denominator)
+                   for v in basis.values)
+        for r, x in zip(ratios, vectors):
+            assert basis.eval_exact(x) == r
 
 
 def test_factor_rationals_negative_exponents():
