@@ -33,6 +33,10 @@ class TargetOutsideHull(FroblipError):
     """Entropy maximization target is not in the convex hull."""
 
 
+class NotConverged(FroblipError):
+    """The entropy Newton solve stopped above its moment tolerance."""
+
+
 class NotCoplanar(FroblipError):
     """The operation requires generators lying on a common hyperplane."""
 

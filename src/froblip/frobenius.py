@@ -183,14 +183,16 @@ class GrowthEstimate:
 
 def _unit(theta: Sequence[float]):
     """theta scaled to unit length, in floats and snapped; a direction
-    without a finite nonzero float length raises FroblipError."""
-    try:
-        norm = math.sqrt(sum(float(t) ** 2 for t in theta))
-    except OverflowError:
-        norm = math.inf
-    if not 0 < norm < math.inf:
+    without a finite nonzero float length raises FroblipError.  The
+    components are divided by the largest magnitude first, so that no
+    square underflows or overflows."""
+    th = tuple(float(t) for t in theta)
+    big = max(map(abs, th), default=0.0)
+    if not (big > 0 and all(map(math.isfinite, th))):
         raise FroblipError(f"direction {tuple(theta)} has no finite nonzero length")
-    th = tuple(float(t) / norm for t in theta)
+    th = tuple(t / big for t in th)
+    norm = math.sqrt(sum(t ** 2 for t in th))
+    th = tuple(t / norm for t in th)
     return th, tuple(_snap(t) for t in th)
 
 
@@ -226,29 +228,31 @@ def estimate_gamma(data: DefiningData, theta: Sequence[float],
     directions are accepted (with slower convergence).  Without a table,
     one is built at ``gamma_table_bound``; a given table must reach it.
     """
-    import numpy as np
-
     _check_radii(k_max, k_count)
     th, th_snap = _unit(theta)
     if not cone_member(th_snap, data.cone):
         raise DirectionOutsideCone(f"direction {th} outside the cone")
-    ks = np.geomspace(k_max / 16.0, k_max, k_count)
+    # the radii of np.geomspace(k_max / 16, k_max, k_count): even steps in
+    # log10, both endpoints pinned
+    lo = math.log10(k_max / 16.0)
+    step = (math.log10(k_max) - lo) / (k_count - 1)
+    ks = [k_max / 16.0] + [10.0 ** (i * step + lo) for i in range(1, k_count - 1)] + [k_max]
     if table is None:
         table = build_multiplicity(data, gamma_table_bound(data, theta, k_max),
                                    point_budget)
-    samples = []
-    for k in ks:
-        point = tuple(k * t for t in th)
-        m = multiplicity_at(table, point)
-        samples.append((float(k), log_big(m)))
-    xs = np.array([k for k, _ in samples])
-    ys = np.array([v for _, v in samples])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    dof = max(len(xs) - 2, 1)
-    sxx = float(np.sum((xs - xs.mean()) ** 2))
-    stderr = math.sqrt(float(np.sum(resid ** 2)) / dof / sxx) if sxx > 0 else 0.0
-    return GrowthEstimate(th, max(float(slope), 0.0), tuple(samples), stderr)
+    samples = tuple((k, log_big(multiplicity_at(table, tuple(k * t for t in th))))
+                    for k in ks)
+    # closed-form least-squares line, fitted against k / k_max in
+    # [1/16, 1] so that no square underflows or overflows
+    us = [k / k_max for k in ks]
+    ys = [y for _, y in samples]
+    u_mean, y_mean = math.fsum(us) / k_count, math.fsum(ys) / k_count
+    suu = math.fsum((u - u_mean) ** 2 for u in us)
+    slope = math.fsum((u - u_mean) * (y - y_mean) for u, y in zip(us, ys)) / suu
+    sse = math.fsum((y - y_mean - slope * (u - u_mean)) ** 2 for u, y in zip(us, ys))
+    stderr = math.sqrt(sse / max(k_count - 2, 1) / suu) / k_max
+    slope /= k_max
+    return GrowthEstimate(th, max(slope, 0.0), samples, stderr)
 
 
 def frobenius_number_1d(a: Sequence[int]) -> int:

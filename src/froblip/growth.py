@@ -8,14 +8,16 @@ are first restricted to the minimal face of the hull, found by exact LP.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import ratlp
 from .cones import Cone, CoplanarFunctional, cone_member
-from .errors import DirectionOutsideCone, NotCoplanar, TargetOutsideHull
+from .errors import DirectionOutsideCone, NotConverged, NotCoplanar, TargetOutsideHull
 from .frobenius import SNAP_DENOM, DefiningData, _snap, _unit
+from .lattice import row_hnf
 
 MOMENT_TOL = 1e-12
 MAX_NEWTON_ITERS = 80
@@ -111,58 +113,75 @@ def max_entropy(vectors: Sequence[Sequence[int]], target: Sequence) -> EntropySo
     affine hull, provided no coordinate moves by more than HULL_SNAP_SLACK
     (4 * 2^-48, about 1.4e-14) and the projection lies in the hull.  Any
     other target raises TargetOutsideHull.  The moment equations are solved
-    for that accepted point.
+    for that accepted point, in floats.  ``p_j`` is proportional to
+    ``exp(beta . X_j)`` on the active support; ``beta`` is zero off the
+    pivot axes of the face's affine hull.
     """
-    import numpy as np
-
     point = _hull_point(vectors, target)
     support = _minimal_face(vectors, point)
-    m = len(vectors)
-    X = np.array([vectors[j] for j in support], dtype=float)
-    v = np.array([float(t) for t in point], dtype=float)
+    X = [vectors[j] for j in support]
+    v = [float(t) for t in point]
+    # the pivot axes of the span of X_j - X_0 are coordinates on the
+    # face's affine hull, in which the covariance is positive definite
+    x0 = X[0]
+    diffs = [[a - b for a, b in zip(x, x0)] for x in X[1:]]
+    axes = [next(i for i, c in enumerate(row) if c)
+            for row in (row_hnf(diffs) if diffs else ())]
+    lam = [0.0] * len(axes)
 
-    if len(support) == 1:
-        p_full = np.zeros(m)
-        p_full[support[0]] = 1.0
-        return EntropySolution(tuple(p_full), 0.0, (0.0,) * len(target),
-                               tuple(support), 0.0)
+    def moments(lam):
+        logits = [math.fsum(l * x[i] for l, i in zip(lam, axes)) for x in X]
+        top = max(logits)
+        w = [math.exp(t - top) for t in logits]
+        total = math.fsum(w)
+        p = [wj / total for wj in w]
+        mu = [math.fsum(pj * x[i] for pj, x in zip(p, X)) for i in range(len(v))]
+        return p, mu, max(abs(a - b) for a, b in zip(mu, v))
 
-    s = X.shape[1]
-    beta = np.zeros(s)
-
-    def moments(b):
-        logits = X @ b
-        logits -= logits.max()
-        w = np.exp(logits)
-        p = w / w.sum()
-        return p, p @ X
-
-    p, mu = moments(beta)
-    res = float(np.max(np.abs(mu - v)))
+    p, mu, res = moments(lam)
     for _ in range(MAX_NEWTON_ITERS):
         if res <= MOMENT_TOL:
             break
-        cov = (X.T * p) @ X - np.outer(mu, mu)
-        step = -np.linalg.lstsq(cov, mu - v, rcond=None)[0]
+        cov = [[math.fsum(pj * x[i] * x[k] for pj, x in zip(p, X)) - mu[i] * mu[k]
+                for k in axes] for i in axes]
+        step = _solve(cov, [v[i] - mu[i] for i in axes])
         # damping: halve the step while the moment error does not improve
         t = 1.0
         for _ in range(60):
-            p_new, mu_new = moments(beta + t * step)
-            res_new = float(np.max(np.abs(mu_new - v)))
+            lam_new = [l + t * d for l, d in zip(lam, step)]
+            p_new, mu_new, res_new = moments(lam_new)
             if res_new < res:
                 break
             t *= 0.5
         else:
             break
-        beta = beta + t * step
-        p, mu, res = p_new, mu_new, res_new
+        lam, p, mu, res = lam_new, p_new, mu_new, res_new
 
-    p_full = np.zeros(m)
+    p_full = [0.0] * len(vectors)
     for j, pj in zip(support, p):
         p_full[j] = pj
-    nz = p[p > 0]
-    value = float(-np.sum(nz * np.log(nz)))
+    beta = [0.0] * len(v)
+    for i, l in zip(axes, lam):
+        beta[i] = l
+    value = math.fsum(-pj * math.log(pj) for pj in p if 0 < pj < 1)
     return EntropySolution(tuple(p_full), value, tuple(beta), tuple(support), res)
+
+
+def _solve(A, b):
+    """Solution of the small nonsingular system A y = b, by Gaussian
+    elimination with partial pivoting."""
+    n = len(b)
+    M = [row[:] + [bi] for row, bi in zip(A, b)]
+    for c in range(n):
+        r = max(range(c, n), key=lambda i: abs(M[i][c]))
+        M[c], M[r] = M[r], M[c]
+        for i in range(c + 1, n):
+            f = M[i][c] / M[c][c]
+            M[i] = [a - f * e for a, e in zip(M[i], M[c])]
+    y = [0.0] * n
+    for c in reversed(range(n)):
+        y[c] = (M[c][n] - math.fsum(M[c][k] * y[k] for k in range(c + 1, n))) / M[c][c]
+    return y
 
 
 def analytic_gamma(data: DefiningData, eta: CoplanarFunctional,
@@ -170,7 +189,8 @@ def analytic_gamma(data: DefiningData, eta: CoplanarFunctional,
     """Closed-form directional growth rate for coplanar defining data.
 
     Scales theta onto the generators' hyperplane and multiplies the maximal
-    entropy there by the scale factor.
+    entropy there by the scale factor.  Raises NotConverged when the
+    entropy solve ends above MOMENT_TOL.
     """
     if not eta.present:
         raise NotCoplanar("defining data admits no coplanarity functional")
@@ -184,4 +204,7 @@ def analytic_gamma(data: DefiningData, eta: CoplanarFunctional,
         raise DirectionOutsideCone("direction has nonpositive hyperplane scale")
     target = tuple(t / scale for t in th_snap)
     sol = max_entropy(data.vectors, target)
+    if sol.residual > MOMENT_TOL:
+        raise NotConverged(f"entropy solve along {th} stopped at moment "
+                           f"residual {sol.residual:.3g} > {MOMENT_TOL:g}")
     return float(scale) * sol.value

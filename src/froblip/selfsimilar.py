@@ -367,20 +367,6 @@ def common_basis(a: ContractionSystem, b: ContractionSystem):
     return basis, a2, b2
 
 
-def h_distance(system_e: ContractionSystem, word_i: Sequence[int],
-               system_f: ContractionSystem, word_j: Sequence[int]):
-    """Euclidean exponent distance between two words; also the exact square.
-
-    Both systems must already live over the same pseudo-basis.
-    """
-    if system_e.basis != system_f.basis:
-        raise BasisMismatch("systems are not over a common pseudo-basis")
-    ke = system_e.word_exponent(word_i)
-    kf = system_f.word_exponent(word_j)
-    sq = sum((x - y) ** 2 for x, y in zip(ke, kf))
-    return math.sqrt(sq), sq
-
-
 @dataclass(frozen=True)
 class MatchReport:
     feasible: bool

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import froblip
-from froblip import cli, frobenius, serialize
+from froblip import cli, frobenius, growth, serialize
 from froblip.cli import main
 
 
@@ -226,8 +226,8 @@ def test_output_file(tmp_path, half, quarters):
 BAD_ARGUMENTS = [
     (["gamma", "{s2}", "--theta=0,0"], 4),
     (["gamma", "{s2}", "--theta=nan,1"], 4),
+    (["gamma", "{s2}", "--theta=1,nan"], 4),
     (["gamma", "{s2}", "--theta=inf,1"], 4),
-    (["gamma", "{s2}", "--theta=1e200,1e200"], 4),  # the norm overflows
     (["gamma", "{s2}", "--theta=1,x"], 2),
     (["gamma", "{s2}", "--dirs", "0"], 4),
     (["gamma", "{s2}", "--k-max", "0"], 4),
@@ -252,6 +252,28 @@ def test_bad_argument_typed_error(tmp_path, argv, code):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("theta", ["1e-200,1e-200", "1e200,1e200"])
+def test_gamma_tiny_and_huge_directions(tmp_path, capsys, theta):
+    # the squared components underflow or overflow; scaled by the largest
+    # component first, both are exactly the direction (1, 1)
+    s2 = write(tmp_path, "s2.json", {"rationals": ["1/2", "1/3"]})
+    assert main(["gamma", s2, "--theta=1,1"]) == 0
+    expect = capsys.readouterr().out
+    assert main(["gamma", s2, f"--theta={theta}"]) == 0
+    assert capsys.readouterr().out == expect
+
+
+def test_gamma_nonconverged_exit_4(tmp_path, capsys, monkeypatch):
+    # no Newton step: the uniform start misses the target (1, 2) / 3
+    monkeypatch.setattr(growth, "MAX_NEWTON_ITERS", 0)
+    s2 = write(tmp_path, "s2.json", {"rationals": ["1/2", "1/3"]})
+    assert main(["gamma", s2, "--theta=1,2", "--analytic"]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: entropy solve along ")
+    assert "residual" in out.err and out.err.count("\n") == 1
+
+
 HEAVY = ("mpmath", "networkx", "numpy", "sympy")
 GUARD = (
     "import sys\n"
@@ -268,17 +290,23 @@ GUARD = (
     (["decide", "{half}", "{thirds}"], 10, HEAVY),
     (["cutset", "{half}", "--t", "1/8"], 0, HEAVY),
     (["multiplicity", "{half}", "--bound", "10"], 0, HEAVY),
-    (["gamma", "{half}", "--dirs", "1", "--k-max", "30"], 0,
-     ("networkx", "sympy")),
+    (["gamma", "{half}", "--dirs", "1", "--k-max", "30"], 0, HEAVY),
+    (["decide", "{uv}", "{uuv}", "--diagnostics", "--pq-bound", "2"], 11,
+     ("numpy",)),
     (["matchable", "{half}", "{quarters}", "--exp-k", "3", "--search"], 0,
      ("numpy",)),
 ], ids=["import", "build", "decide", "decide-refuted", "cutset-t",
-        "multiplicity", "gamma", "matchable-exp-k"])
+        "multiplicity", "gamma", "decide-diagnostics", "matchable-exp-k"])
 def test_commands_import_only_what_they_call(tmp_path, half, quarters,
                                              argv, rc, banned):
     paths = {"half": half, "quarters": quarters,
              "thirds": write(tmp_path, "thirds.json",
-                             {"rationals": ["1/3", "1/3", "1/3"]})}
+                             {"rationals": ["1/3", "1/3", "1/3"]}),
+             # a pair outside the decidable families: {u, v, uv} vs {u, v, u^2 v}
+             "uv": write(tmp_path, "uv.json", {"generators": ["u", "v"],
+                         "monomials": [[1, 0], [0, 1], [1, 1]]}),
+             "uuv": write(tmp_path, "uuv.json", {"generators": ["u", "v"],
+                          "monomials": [[1, 0], [0, 1], [2, 1]]})}
     argv = [a.format(**paths) for a in argv]
     if argv:
         argv += ["-o", str(tmp_path / "out")]

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from froblip.errors import (
@@ -18,6 +19,7 @@ from froblip.frobenius import (
     build_multiplicity,
     estimate_gamma,
     frobenius_number_1d,
+    gamma_table_bound,
     log_big,
     make_defining_data,
     multiplicity_at,
@@ -208,6 +210,54 @@ def test_estimate_gamma_deterministic():
     a = estimate_gamma(data, (1.0, 2.0), k_max=40.0)
     b = estimate_gamma(data, (1.0, 2.0), k_max=40.0)
     assert a == b
+
+
+def test_estimate_gamma_radii_match_geomspace():
+    # oracle: np.geomspace(k_max / 16, k_max, k_count).  Both pinned
+    # endpoints agree bit for bit.  The interior radii are 10 ** y on the
+    # same grid of y, but numpy takes log10 and the power with its own SIMD
+    # kernels, which differ from the C library's in the last bits, so they
+    # agree to a relative 1e-14 (about 18 ulps at worst for k_max < 1000)
+    rng = random.Random(6)
+    data = make_defining_data(((1,), (2,)))
+    table = build_multiplicity(data, gamma_table_bound(data, (1.0,), 120.0))
+    cases = [(120.0, 12), (60.0, 12), (30.0, 12), (16.0, 12), (1e-3, 5)]
+    for _ in range(300):
+        k_max = rng.choice([float(rng.randint(1, 120)), 10 ** rng.uniform(-3, 2)])
+        cases.append((k_max, rng.randint(2, 40)))
+    for k_max, k_count in cases:
+        est = estimate_gamma(data, (1.0,), k_max, k_count, table=table)
+        ks = [k for k, _ in est.samples]
+        ref = np.geomspace(k_max / 16, k_max, k_count).tolist()
+        assert (ks[0], ks[-1]) == (ref[0], ref[-1]) == (k_max / 16, k_max)
+        assert ks == pytest.approx(ref, rel=1e-14, abs=0)
+        assert all(a < b for a, b in zip(ks, ks[1:]))
+
+
+def test_estimate_gamma_fit_matches_polyfit():
+    # oracle: np.polyfit's line and the standard error of its slope, on the
+    # samples of seeded 1-D and 2-D systems
+    rng = random.Random(7)
+    for trial in range(40):
+        if trial % 2:
+            vectors = [(rng.randint(1, 4),) for _ in range(rng.randint(2, 4))]
+            theta = (1.0,)
+        else:
+            vectors = [(1, 0), (0, 1)] + [(rng.randint(0, 2), rng.randint(0, 2))
+                                          for _ in range(rng.randint(0, 2))]
+            theta = (rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0))
+        if any(not any(v) for v in vectors):
+            continue
+        data = make_defining_data(vectors)
+        est = estimate_gamma(data, theta, rng.uniform(8.0, 40.0), rng.randint(3, 30))
+        xs = np.array([k for k, _ in est.samples])
+        ys = np.array([y for _, y in est.samples])
+        slope, intercept = np.polyfit(xs, ys, 1)
+        resid = ys - (slope * xs + intercept)
+        stderr = math.sqrt(float(np.sum(resid ** 2)) / max(len(xs) - 2, 1)
+                           / float(np.sum((xs - xs.mean()) ** 2)))
+        assert est.gamma_hat == pytest.approx(max(slope, 0.0), rel=1e-12)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
 
 def test_frobenius_number_known_values():

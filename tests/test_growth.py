@@ -1,11 +1,14 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from froblip.cones import coplanar_functional
-from froblip.errors import NotCoplanar, TargetOutsideHull
+from froblip.errors import NotConverged, NotCoplanar, TargetOutsideHull
 from froblip.frobenius import SNAP_DENOM, make_defining_data
+from froblip import growth
 from froblip.growth import analytic_gamma, max_entropy
 
 SQ2 = math.sqrt(2)
@@ -137,3 +140,123 @@ def test_analytic_gamma_iteration_invariance():
         g1 = analytic_gamma(data1, eta1, theta)
         g2 = analytic_gamma(data2, eta2, theta)
         assert abs(g1 - g2) < 1e-8
+
+
+def _numpy_max_entropy(vectors, target):
+    """Oracle: the damped Newton solve on numpy that max_entropy used
+    before, in the full coordinates with a least-squares step; it returns
+    (p, value, residual)."""
+    point = growth._hull_point(vectors, target)
+    support = growth._minimal_face(vectors, point)
+    m = len(vectors)
+    X = np.array([vectors[j] for j in support], dtype=float)
+    v = np.array([float(t) for t in point], dtype=float)
+    if len(support) == 1:
+        p_full = np.zeros(m)
+        p_full[support[0]] = 1.0
+        return tuple(p_full), 0.0, 0.0
+    beta = np.zeros(X.shape[1])
+
+    def moments(b):
+        logits = X @ b
+        logits -= logits.max()
+        w = np.exp(logits)
+        p = w / w.sum()
+        return p, p @ X
+
+    p, mu = moments(beta)
+    res = float(np.max(np.abs(mu - v)))
+    for _ in range(growth.MAX_NEWTON_ITERS):
+        if res <= growth.MOMENT_TOL:
+            break
+        cov = (X.T * p) @ X - np.outer(mu, mu)
+        step = -np.linalg.lstsq(cov, mu - v, rcond=None)[0]
+        t = 1.0
+        for _ in range(60):
+            p_new, mu_new = moments(beta + t * step)
+            res_new = float(np.max(np.abs(mu_new - v)))
+            if res_new < res:
+                break
+            t *= 0.5
+        else:
+            break
+        beta = beta + t * step
+        p, mu, res = p_new, mu_new, res_new
+    p_full = np.zeros(m)
+    for j, pj in zip(support, p):
+        p_full[j] = pj
+    nz = p[p > 0]
+    return tuple(p_full), float(-np.sum(nz * np.log(nz))), res
+
+
+def _entropy_cases():
+    """Seeded generator sets in dimensions 1-3 with targets in the
+    interior of the hull or on a face of it (a vertex, or the midpoint of
+    two generators, which need not be an edge), some with duplicate
+    vectors, and collinear sets in dimensions 2 and 3."""
+    rng = random.Random(11)
+    for trial in range(240):
+        s = trial % 3 + 1
+        if trial % 8 == 7:  # collinear: a + i d for a few i
+            a = [rng.randint(0, 3) for _ in range(s)]
+            d = [rng.randint(-2, 2) for _ in range(s)]
+            vectors = [tuple(x + i * y for x, y in zip(a, d))
+                       for i in rng.sample(range(5), rng.randint(2, 4))]
+        else:
+            vectors = [tuple(rng.randint(0, 4) for _ in range(s))
+                       for _ in range(rng.randint(2, 6))]
+        if trial % 5 == 0:
+            vectors.append(rng.choice(vectors))
+        kind = trial % 4
+        if kind == 0:
+            target = vectors[rng.randrange(len(vectors))]
+        elif kind == 1:
+            i, j = rng.sample(range(len(vectors)), 2)
+            target = [Fraction(x + y, 2) for x, y in zip(vectors[i], vectors[j])]
+        else:
+            w = [Fraction(rng.randint(1, 9) ** 3) for _ in vectors]
+            target = [sum(wj * v[i] for wj, v in zip(w, vectors)) / sum(w)
+                      for i in range(s)]
+            if kind == 3:
+                target = [float(t) for t in target]
+        yield vectors, tuple(target)
+
+
+def test_max_entropy_matches_numpy_newton():
+    faces = dims = 0
+    for vectors, target in _entropy_cases():
+        sol = max_entropy(vectors, target)
+        p, value, residual = _numpy_max_entropy(vectors, target)
+        assert sol.p == pytest.approx(p, rel=0, abs=1e-12), (vectors, target)
+        assert sol.value == pytest.approx(value, rel=0, abs=1e-12)
+        assert sol.residual == pytest.approx(residual, rel=0, abs=1e-12)
+        assert sol.residual <= growth.MOMENT_TOL
+        # beta has one entry per coordinate and p_j is proportional to
+        # exp(beta . X_j) over the active support
+        assert len(sol.beta) == len(target)
+        logits = [sum(b * x for b, x in zip(sol.beta, vectors[j]))
+                  for j in sol.active_support]
+        w = [math.exp(t - max(logits)) for t in logits]
+        assert [sol.p[j] for j in sol.active_support] == \
+            pytest.approx([x / sum(w) for x in w], rel=0, abs=1e-12)
+        faces += len(set(sol.active_support)) < len(vectors)
+        dims += len({vectors[j] for j in sol.active_support}) == 1
+    # the sample reaches faces smaller than the hull and 0-dimensional ones
+    assert faces > 40 and dims > 20
+
+
+def test_max_entropy_zero_dimensional_face_is_uniform():
+    sol = max_entropy([(2, 1), (1, 3), (2, 1), (2, 1)], (2, 1))
+    assert sol.active_support == (0, 2, 3)
+    assert sol.p == (1 / 3, 0.0, 1 / 3, 1 / 3)
+    assert sol.value == pytest.approx(math.log(3), abs=1e-15)
+    assert sol.beta == (0.0, 0.0) and sol.residual <= 1e-15
+
+
+def test_analytic_gamma_raises_when_not_converged(monkeypatch):
+    data = make_defining_data(((1, 0), (0, 1)))
+    eta = coplanar_functional(data.vectors)
+    monkeypatch.setattr(growth, "MAX_NEWTON_ITERS", 0)
+    assert analytic_gamma(data, eta, (1.0, 1.0)) == pytest.approx(SQ2 * math.log(2))
+    with pytest.raises(NotConverged, match="residual"):
+        analytic_gamma(data, eta, (1.0, 2.0))

@@ -11,7 +11,6 @@ import pytest
 import froblip
 from froblip import flows, selfsimilar
 from froblip.errors import (
-    BasisMismatch,
     FroblipError,
     IncompatibleSymbolicBases,
     ThresholdTie,
@@ -24,7 +23,6 @@ from froblip.selfsimilar import (
     common_basis,
     cut_multiset,
     cut_set,
-    h_distance,
     hausdorff_dimension,
     iterate,
     matchable,
@@ -191,19 +189,6 @@ def test_common_basis_symbolic_mismatch():
     b = build_system([Monomial.make({"v": 1}), Monomial.make({"v": 2})])
     with pytest.raises(IncompatibleSymbolicBases):
         common_basis(a, b)
-
-
-def test_h_distance():
-    a = build_system(["1/2", "1/2"])
-    b = build_system(["1/4", "1/4", "1/4", "1/4"])
-    _, a2, b2 = common_basis(a, b)
-    d, sq = h_distance(a2, (1, 1), b2, (1,))
-    assert sq == 0 and d == 0.0
-    d, sq = h_distance(a2, (1,), b2, (1,))
-    assert sq == 1
-    c = build_system(["1/3", "1/3"])
-    with pytest.raises(BasisMismatch):
-        h_distance(a, (1,), c, (1,))
 
 
 def test_matchable_equivalent_pair():
