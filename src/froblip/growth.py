@@ -123,8 +123,7 @@ def max_entropy(vectors: Sequence[Sequence[int]], target: Sequence) -> EntropySo
     v = [float(t) for t in point]
     # the pivot axes of the span of X_j - X_0 are coordinates on the
     # face's affine hull, in which the covariance is positive definite
-    x0 = X[0]
-    diffs = [[a - b for a, b in zip(x, x0)] for x in X[1:]]
+    diffs = [[a - b for a, b in zip(x, X[0])] for x in X[1:]]
     axes = [next(i for i, c in enumerate(row) if c)
             for row in (row_hnf(diffs) if diffs else ())]
     lam = [0.0] * len(axes)
@@ -163,6 +162,7 @@ def max_entropy(vectors: Sequence[Sequence[int]], target: Sequence) -> EntropySo
     beta = [0.0] * len(v)
     for i, l in zip(axes, lam):
         beta[i] = l
+    # a term p_j = 1 is -0.0, which would make a vertex's value -0.0
     value = math.fsum(-pj * math.log(pj) for pj in p if 0 < pj < 1)
     return EntropySolution(tuple(p_full), value, tuple(beta), tuple(support), res)
 
