@@ -1,8 +1,9 @@
 """Equivalence decisions on the worked example families.
 
-Walks through the decision pipeline on four instructive pairs: the
+Walks through the decision pipeline on five instructive pairs: the
 exceptional two-branch pair, an axis-supported refutation, an iteration
-permutation, and a pair outside the decidable families.
+permutation, a coplanar pair whose iterations never match, and a pair
+outside the decidable families.
 """
 from froblip import Monomial, build_system, decide
 
@@ -35,6 +36,14 @@ def main():
         "(1/2, 1/2) vs (1/4, 1/4, 1/4, 1/4) (iteration permutation)",
         build_system(["1/2", "1/2"]),
         build_system(["1/4", "1/4", "1/4", "1/4"]),
+    )
+    show(
+        "{u^2, u^2, uv, v^2} vs {u, v} (coplanar, and the only iteration "
+        "pair with 4^p = 2^q that could match, p = 1 and q = 2, does not: "
+        "(u + v)^2 != 2u^2 + uv + v^2)",
+        build_system([Monomial.make(d) for d in
+                      ({"u": 2}, {"u": 2}, {"u": 1, "v": 1}, {"v": 2})]),
+        build_system([Monomial.make({"u": 1}), Monomial.make({"v": 1})]),
     )
     show(
         "(1/2, 1/4, 1/4) vs (1/4, 1/4, 1/4, 1/4) (outside the decidable "

@@ -140,8 +140,7 @@ def cmd_gamma(args) -> int:
 def cmd_decide(args) -> int:
     a = serialize.load_system(args.a)
     b = serialize.load_system(args.b)
-    verdict = decide(a, b, p_q_bound=args.pq_bound,
-                     diagnostics=args.diagnostics)
+    verdict = decide(a, b, diagnostics=args.diagnostics)
     _emit_json(serialize.verdict_to_json(verdict), args.out)
     if verdict.result == EQUIVALENT:
         return 0
@@ -223,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decide", help="equivalence verdict as JSON")
     d.add_argument("a")
     d.add_argument("b")
-    d.add_argument("--pq-bound", type=int, default=24)
     d.add_argument("--diagnostics", action="store_true")
     d.add_argument("-o", "--out")
     d.set_defaults(func=cmd_decide)

@@ -4,9 +4,9 @@ Every fact about a pair is read from one pair context, built once per
 ``decide`` call over a single merged pseudo-basis.  The stages run in
 this order, and the first verdict wins: the invariant screen (common
 basis, dimension, rank, cone), the permutation fast path, the
-axis-counting refutation, the full-rank and two-branch deciders, and the
-iteration-permutation search, which is complete for coplanar pairs up to
-its budget.
+axis-counting refutation, the full-rank and two-branch deciders, the
+cardinality refutation, and the iteration identity P_e**p0 == P_f**q0,
+which decides every coplanar pair (see ``decide``).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cones import Cone, cone_equal, coplanar_functional
-from .errors import IncompatibleSymbolicBases
+from .errors import IncompatibleSymbolicBases, ResourceLimit
 from .lattice import factor_integer, integer_rank, reduce_to_pseudo_basis
 from .selfsimilar import ContractionSystem, ITERATION_BUDGET, common_basis, iterate
 
@@ -164,41 +164,19 @@ def _primitive_root(n: int):
     return math.prod(p ** (exp // g) for p, exp in fac.items()), g
 
 
-def cardinality_solvable(m: int, n: int) -> bool:
-    """Whether m**p == n**q has any solution in positive integers."""
-    if m == n:
-        return True
-    return _primitive_root(m)[0] == _primitive_root(n)[0]
+def iteration_orders(m: int, n: int) -> Optional[tuple]:
+    """The smallest (p, q) with m**p == n**q, or None when there is none.
 
-
-def iteration_candidates(m: int, n: int, p_q_bound: int,
-                         iter_budget: int = ITERATION_BUDGET):
-    """All (p, q) with m**p == n**q within the bounds, ordered by p+q then p.
-
-    Solvability is decided exactly through prime factorization: m**p can
-    equal n**q only when m and n are powers of a common integer.
+    m**p == n**q forces m = r**a and n = r**b for the one primitive root
+    r of both, and then a*p == b*q: every solution is t*(p0, q0) with
+    g = gcd(a, b), p0 = b/g and q0 = a/g.
     """
-    if m == n:
-        pairs = [(t, t) for t in range(1, p_q_bound + 1)]
-    else:
-        rm, gm = _primitive_root(m)
-        rn, gn = _primitive_root(n)
-        if rm != rn:
-            return []
-        g = math.gcd(gm, gn)
-        pairs = []
-        t = 1
-        while True:
-            p, q = (gn // g) * t, (gm // g) * t
-            if p > p_q_bound or q > p_q_bound:
-                break
-            pairs.append((p, q))
-            t += 1
-    pairs = [
-        (p, q) for p, q in pairs
-        if m ** p <= iter_budget and n ** q <= iter_budget
-    ]
-    return sorted(pairs, key=lambda pq: (pq[0] + pq[1], pq[0]))
+    rm, a = _primitive_root(m)
+    rn, b = _primitive_root(n)
+    if rm != rn:
+        return None
+    g = math.gcd(a, b)
+    return b // g, a // g
 
 
 def _axis_profile(vectors):
@@ -238,29 +216,36 @@ def _axis_counting(pair: _Pair) -> Optional[Verdict]:
                                sorted(prof_f.items())]})
 
 
-def _permutation_witness(e_it: ContractionSystem, f_it: ContractionSystem):
-    if e_it.m > PERMUTATION_CERT_LIMIT:
+def _times(a: Counter, b: Counter) -> Counter:
+    """Product of polynomials held as {exponent vector: coefficient}."""
+    if len(a) * len(b) > ITERATION_BUDGET:
+        raise ResourceLimit(f"{len(a)} x {len(b)} term products exceed "
+                            f"ITERATION_BUDGET = {ITERATION_BUDGET}")
+    out = Counter()
+    for x, c in a.items():
+        for y, d in b.items():
+            out[tuple(i + j for i, j in zip(x, y))] += c * d
+    return out
+
+
+def _power(poly: Counter, k: int) -> Counter:
+    """poly**k by repeated squaring; no product exceeds len(poly)**k terms."""
+    if k == 1:
+        return poly
+    half = _power(_times(poly, poly), k // 2)
+    return _times(half, poly) if k % 2 else half
+
+
+def _permutation_witness(e: ContractionSystem, f: ContractionSystem,
+                         p: int, q: int):
+    """Index map from the p-th iteration of ``e`` onto equal ratios of the
+    q-th iteration of ``f``; None past PERMUTATION_CERT_LIMIT ratios."""
+    if e.m ** p > PERMUTATION_CERT_LIMIT:
         return None
     buckets = {}
-    for j, r in enumerate(f_it.ratios):
+    for j, r in enumerate(iterate(f, q).ratios):
         buckets.setdefault(r, []).append(j)
-    perm = []
-    for r in e_it.ratios:
-        perm.append(buckets[r].pop(0))
-    return tuple(perm)
-
-
-def _iteration_search(e: ContractionSystem, f: ContractionSystem,
-                      p_q_bound: int) -> Optional[Verdict]:
-    """Sound search for p, q making the iterated ratio multisets equal."""
-    for p, q in iteration_candidates(e.m, f.m, p_q_bound):
-        e_it = iterate(e, p)
-        f_it = iterate(f, q)
-        if Counter(e_it.ratios) == Counter(f_it.ratios):
-            cert = {"p": p, "q": q,
-                    "permutation": _permutation_witness(e_it, f_it)}
-            return Verdict(EQUIVALENT, "ITERATION_PERMUTATION", cert)
-    return None
+    return tuple(buckets[r].pop(0) for r in iterate(e, p).ratios)
 
 
 def _gamma_diagnostics(pair: _Pair) -> dict:
@@ -285,17 +270,19 @@ def _gamma_diagnostics(pair: _Pair) -> dict:
 
 
 def decide(e: ContractionSystem, f: ContractionSystem,
-           p_q_bound: int = 24, diagnostics: bool = False) -> Verdict:
-    """Full decision pipeline; the first stage with a verdict wins.
+           diagnostics: bool = False) -> Verdict:
+    """Full decision pipeline, in the stage order of the module docstring.
 
-    The pair's merged basis, distinct exponent points, ranks and
-    ratio-multiset equality are computed once.  Stages, in run order: the
-    invariant screen, the permutation fast path, the axis-counting
-    refutation, the full-rank and two-branch deciders, the cardinality
-    refutation m**p != n**q (coplanar pairs only) and the
-    iteration-permutation search up to ``p_q_bound``.  What the search
-    leaves open is UNDECIDED: SEARCH_BOUND for coplanar pairs, else
-    OUTSIDE_DECIDABLE_FAMILIES, optionally with growth diagnostics.
+    The paper's main theorem: a coplanar pair is Lipschitz equivalent iff
+    the p-th iteration of e permutes the q-th of f for some p, q, that is
+    iff P_e**p == P_f**q for the Laurent polynomials P = sum_j x**X_j
+    over the common basis.  Then m**p == n**q, so (p, q) = t*(p0, q0)
+    (``iteration_orders``); and A**t == B**t for A = P_e**p0, B = P_f**q0
+    makes A/B a root of unity in Q(x), so +-1, and positive coefficients
+    force A == B.  Only (p0, q0) is checked: ITERATION_PERMUTATION when
+    the identity holds (any pair), NO_ITERATION_PERMUTATION when it fails
+    on a coplanar pair; UNDECIDED is SEARCH_BOUND past ITERATION_BUDGET
+    term products, else OUTSIDE_DECIDABLE_FAMILIES (diagnostics on request).
     """
     pair, verdict = _screen(e, f)
     if verdict is not None:
@@ -308,14 +295,26 @@ def decide(e: ContractionSystem, f: ContractionSystem,
             return verdict
     coplanar = coplanar_functional(pair.points_e).present and \
         coplanar_functional(pair.points_f).present
-    if coplanar and not cardinality_solvable(e.m, f.m):
-        return Verdict(NOT_EQUIVALENT, "NO_ITERATION_CARDINALITY",
-                       {"invariant": "NO_ITERATION_CARDINALITY",
-                        "values": [e.m, f.m]})
-    found = _iteration_search(e, f, p_q_bound)
-    if found is not None:
-        return found
-    if coplanar:
-        return Verdict(UNDECIDED, "SEARCH_BOUND", {"p_q_bound": p_q_bound})
+    orders = iteration_orders(e.m, f.m)
+    if orders is None:
+        if coplanar:
+            return Verdict(NOT_EQUIVALENT, "NO_ITERATION_CARDINALITY",
+                           {"invariant": "NO_ITERATION_CARDINALITY",
+                            "values": [e.m, f.m]})
+    else:
+        p, q = orders
+        try:
+            holds = _power(Counter(pair.e2.exponents), p) == \
+                _power(Counter(pair.f2.exponents), q)
+        except ResourceLimit:
+            return Verdict(UNDECIDED, "SEARCH_BOUND",
+                           {"p": p, "q": q, "budget": ITERATION_BUDGET})
+        if holds:
+            return Verdict(EQUIVALENT, "ITERATION_PERMUTATION",
+                           {"p": p, "q": q,
+                            "permutation": _permutation_witness(e, f, p, q)})
+        if coplanar:  # the main theorem: no iterations permute each other
+            return Verdict(NOT_EQUIVALENT, "NO_ITERATION_PERMUTATION",
+                           {"p": p, "q": q})
     diag = _gamma_diagnostics(pair) if diagnostics else None
     return Verdict(UNDECIDED, "OUTSIDE_DECIDABLE_FAMILIES", None, diag)

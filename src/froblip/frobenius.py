@@ -197,9 +197,10 @@ def _unit(theta: Sequence[float]):
 
 
 def _check_radii(k_max: float, k_count: int = 2):
-    """Raise FroblipError unless 0 < k_max < inf and k_count >= 2."""
-    if not (0 < k_max < math.inf and k_count >= 2):
-        raise FroblipError(f"need 0 < k_max < inf and k_count >= 2, "
+    """Raise FroblipError unless 0 < k_max / 16, k_max < inf and
+    k_count >= 2 (the smallest radius is k_max / 16, and its log is taken)."""
+    if not (0 < k_max / 16.0 and k_max < math.inf and k_count >= 2):
+        raise FroblipError(f"need 0 < k_max / 16, k_max < inf and k_count >= 2, "
                            f"got k_max={k_max}, k_count={k_count}")
 
 

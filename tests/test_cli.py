@@ -84,7 +84,16 @@ def test_decide_exit_codes(tmp_path, capsys, half, quarters):
     doc = json.loads(capsys.readouterr().out)
     assert doc["reason"] == "ITERATION_COUNTING"
 
-    assert main(["decide", half, quarters, "--pq-bound", "1"]) == 11
+    # coplanar, and (u^2 + 2uv + v^2) != 2u^2 + uv + v^2: the only
+    # iteration pair with 4**p == 2**q that can match, (1, 2), does not
+    a = write(tmp_path, "s3.json", {"generators": ["u", "v"],
+              "monomials": [[2, 0], [2, 0], [1, 1], [0, 2]]})
+    b = write(tmp_path, "s4.json",
+              {"generators": ["u", "v"], "monomials": [[1, 0], [0, 1]]})
+    assert main(["decide", a, b]) == 10
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["reason"] == "NO_ITERATION_PERMUTATION"
+    assert doc["certificate"] == {"p": 1, "q": 2}
 
 
 def test_decide_two_branch(tmp_path, capsys):
@@ -232,6 +241,7 @@ BAD_ARGUMENTS = [
     (["gamma", "{s2}", "--dirs", "0"], 4),
     (["gamma", "{s2}", "--k-max", "0"], 4),
     (["gamma", "{s2}", "--k-max", "inf"], 4),
+    (["gamma", "{s2}", "--empirical", "--k-max", "1e-323"], 4),  # k_max / 16 == 0
     (["gamma", "{s2}", "--k-count", "0"], 4),
     (["gamma", "{s2}", "--k-count", "1"], 4),  # one sample: no slope
     (["multiplicity", "{s2}", "--bound", "abc"], 2),
@@ -291,7 +301,7 @@ GUARD = (
     (["cutset", "{half}", "--t", "1/8"], 0, HEAVY),
     (["multiplicity", "{half}", "--bound", "10"], 0, HEAVY),
     (["gamma", "{half}", "--dirs", "1", "--k-max", "30"], 0, HEAVY),
-    (["decide", "{uv}", "{uuv}", "--diagnostics", "--pq-bound", "2"], 11,
+    (["decide", "{uv}", "{uuv}", "--diagnostics"], 11,
      ("numpy",)),
     (["matchable", "{half}", "{quarters}", "--exp-k", "3", "--search"], 0,
      ("numpy",)),

@@ -1,15 +1,18 @@
 import itertools
+import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+import sympy
 
 from froblip import equivalence
 from froblip.equivalence import (
     EQUIVALENT,
     NOT_EQUIVALENT,
     UNDECIDED,
-    cardinality_solvable,
     decide,
-    iteration_candidates,
+    iteration_orders,
     screen_invariants,
 )
 from froblip.lattice import Monomial
@@ -144,67 +147,134 @@ def test_full_rank_decider():
     assert decide(a, c).result == NOT_EQUIVALENT
 
 
-def test_iteration_candidates_same_m():
-    assert iteration_candidates(2, 2, 3) == [(1, 1), (2, 2), (3, 3)]
-
-
-def test_iteration_candidates_power_pair():
-    # 2^p = 4^q forces p = 2q
-    cands = iteration_candidates(2, 4, 8)
-    assert cands == [(2, 1), (4, 2), (6, 3), (8, 4)]
-    # 8^p = 4^q forces 3p = 2q
-    cands = iteration_candidates(8, 4, 8)
-    assert cands[0] == (2, 3)
-    assert iteration_candidates(2, 3, 10) == []
-    assert iteration_candidates(6, 12, 10) == []
-
-
-def test_cardinality_and_candidates_match_brute_force():
-    # every (p, q) that iteration_candidates may return at bound 12 is
-    # among the enumerated ones, and m**p == n**q with m, n <= 64 has its
-    # smallest solution at p, q <= 6 when it has one
-    bound = 12
+def test_iteration_orders_match_brute_force():
+    # the smallest (p, q) with m**p == n**q, for m, n <= 64, has p, q <= 6
     for m in range(2, 65):
         for n in range(2, 65):
-            powers = [(p, q) for p in range(1, bound + 1)
-                      for q in range(1, bound + 1) if m ** p == n ** q]
-            assert cardinality_solvable(m, n) == bool(powers), (m, n)
-            for budget in (10 ** 6, 10 ** 30):
-                want = sorted(((p, q) for p, q in powers
-                               if m ** p <= budget and n ** q <= budget),
-                              key=lambda pq: (pq[0] + pq[1], pq[0]))
-                assert iteration_candidates(m, n, bound, budget) == want
+            powers = [(p, q) for p in range(1, 7) for q in range(1, 7)
+                      if m ** p == n ** q]
+            assert iteration_orders(m, n) == min(powers, default=None), (m, n)
     perfect_powers = {b ** k for b in range(2, 71) for k in range(2, 13)}
     for n in range(2, 5000):
         root, g = equivalence._primitive_root(n)
         assert root ** g == n and root not in perfect_powers, n
 
 
-def test_iteration_candidates_budget():
-    cands = iteration_candidates(10, 10, 24, iter_budget=10 ** 6)
-    assert all(10 ** p <= 10 ** 6 for p, _ in cands)
-
-
-def test_coplanar_search_bound_undecided():
-    # coplanar multisets that only match at a deep iteration: with a tiny
-    # bound the search must come back UNDECIDED, not NOT_EQUIVALENT
-    a = build_system(["1/2", "1/2"])
-    b = build_system(["1/4", "1/4", "1/4", "1/4"])
-    v = decide(a, b, p_q_bound=1)
-    assert v.result == UNDECIDED
-    assert v.reason == "SEARCH_BOUND"
+def test_coplanar_search_bound_undecided(monkeypatch):
+    # both pairs are coplanar and need one 2 x 2 term product; past a
+    # budget of 3 term products neither may be decided either way
+    u, v, uv = {"u": 1}, {"v": 1}, {"u": 1, "v": 1}
+    equivalent = (sym(u, v), sym({"u": 2}, uv, uv, {"v": 2}))
+    refuted = (sym({"u": 2}, {"u": 2}, uv, {"v": 2}), sym(u, v))
+    assert decide(*equivalent).reason == "ITERATION_PERMUTATION"
+    assert decide(*refuted).reason == "NO_ITERATION_PERMUTATION"
+    monkeypatch.setattr(equivalence, "ITERATION_BUDGET", 3)
+    for a, b in (equivalent, refuted):
+        v = decide(a, b)
+        assert (v.result, v.reason) == (UNDECIDED, "SEARCH_BOUND")
+        assert v.certificate["budget"] == 3
 
 
 def test_undecided_outside_families_with_diagnostics():
-    # non-coplanar, non-full-rank, m=3 vs m=3, same rank-1 group: outside
-    # every decidable family unless an iteration pair matches
+    # non-coplanar, non-full-rank, m=3 vs m=3, same rank-1 group, unequal
+    # ratio multisets: outside every decidable family
     a = build_system(["1/2", "1/4", "1/4"])
     b = build_system(["1/4", "1/2", "1/8"])
-    v = decide(a, b, p_q_bound=3, diagnostics=True)
+    v = decide(a, b, diagnostics=True)
     assert v.result in (UNDECIDED, NOT_EQUIVALENT, EQUIVALENT)
     if v.result == UNDECIDED and v.reason == "OUTSIDE_DECIDABLE_FAMILIES":
         assert v.diagnostics is not None
         assert "gap" in v.diagnostics
+
+
+def _oracle_pairs(rng, count):
+    """(a, b, a's exponent vectors, b's, built equivalent) over the primes
+    2, 3 or the generators u, v: numeric and symbolic, coplanar and not,
+    half of them iterations of one base, shuffled."""
+    for i in range(count):
+        # numeric pairs not built equivalent mostly fail the dimension screen
+        symbolic = i % 4 >= 2 if i % 2 == 0 else i % 8 != 7
+        dims = rng.choice([1, 2, 2])
+        names = ["u", "v"][:dims] if symbolic else [2, 3][:dims]
+
+        def vectors(m, line=None):
+            out = []
+            while len(out) < m:
+                x = [rng.randint(0, 3) for _ in range(dims)]
+                if line is not None:
+                    x[-1] = line - sum(x[:-1])
+                if min(x) >= 0 and max(x) > 0:
+                    out.append(tuple(x))
+            return out
+
+        def iterated(base, p):
+            return [tuple(map(sum, zip(*w)))
+                    for w in itertools.product(base, repeat=p)]
+
+        if i % 2 == 0:  # built equivalent
+            base = vectors(rng.choice([2, 3]), rng.choice([None, 2]))
+            i_a, i_b = rng.choice([(1, 2), (2, 1)] + (
+                [(1, 3), (3, 2)] if len(base) == 2 else []))
+            va, vb = iterated(base, i_a), iterated(base, i_b)
+        else:  # coplanar ones reach the last stage: both span the quadrant
+            c = rng.choice([None, 1, 2, 3])
+            d = c and rng.choice([c, 2 * c])
+            va = vectors(rng.choice([2, 3, 4]), c)
+            vb = vectors(rng.choice([2, 4, 8]), d)
+            if c and dims == 2:
+                va[:2], vb[:2] = [(c, 0), (0, c)], [(d, 0), (0, d)]
+        va, vb = rng.sample(va, len(va)), rng.sample(vb, len(vb))
+
+        def system(vs):
+            if symbolic:
+                return build_system([Monomial.make(dict(zip(names, x)))
+                                     for x in vs])
+            return build_system([Fraction(1, sympy.prod(
+                p ** k for p, k in zip(names, x))) for x in vs])
+
+        yield system(va), system(vb), va, vb, i % 2 == 0
+
+
+def _coplanar(vectors):
+    """<eta, x> == 1 has a rational solution: rank(X) == rank([X | 1])."""
+    x = sympy.Matrix(vectors)
+    return x.rank() == x.row_join(sympy.ones(len(vectors), 1)).rank()
+
+
+def _matches(a, b):
+    """Every (p, q) with p, q <= 4 whose iterations are permutations of
+    each other, by brute force, smallest first."""
+    return sorted(((p, q) for p in range(1, 5) for q in range(1, 5)
+                   if a.m ** p == b.m ** q
+                   and Counter(iterate(a, p).ratios)
+                   == Counter(iterate(b, q).ratios)),
+                  key=lambda pq: (pq[0] + pq[1], pq[0]))
+
+
+def test_decide_against_iteration_brute_force():
+    seen = Counter()
+    for a, b, va, vb, built in _oracle_pairs(random.Random(7), 120):
+        v = decide(a, b)
+        seen[v.reason] += 1
+        matches = _matches(a, b)
+        coplanar = _coplanar(va) and _coplanar(vb)
+        if built:
+            assert v.result == EQUIVALENT, (va, vb, v)
+        if v.reason in ("PERMUTATION", "ITERATION_PERMUTATION"):
+            cert = v.certificate
+            assert matches and matches[0] == (cert.get("p", 1), cert.get("q", 1))
+            perm = cert.get("permutation")
+            if perm is not None:
+                ra, rb = iterate(a, cert["p"]).ratios, iterate(b, cert["q"]).ratios
+                assert sorted(perm) == list(range(len(rb)))
+                assert all(ra[i] == rb[j] for i, j in enumerate(perm))
+        if v.result == NOT_EQUIVALENT:
+            assert not matches, (va, vb, v)
+        if v.reason in ("NO_ITERATION_PERMUTATION", "NO_ITERATION_CARDINALITY"):
+            assert coplanar, (va, vb, v)
+        if coplanar and v.reason != "NO_COMMON_BASIS":
+            assert v.result != UNDECIDED, (va, vb, v)
+    assert seen["ITERATION_PERMUTATION"] and seen["NO_ITERATION_PERMUTATION"], seen
 
 
 def test_certificate_json_shape():
