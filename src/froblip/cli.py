@@ -34,6 +34,7 @@ EXIT_RESOURCE = 3
 EXIT_DOMAIN = 4
 EXIT_NOT_EQUIVALENT = 10
 EXIT_UNDECIDED = 11
+SWEEP_CANDIDATES = 100_000  # grid points a 3-D sweep tests at most
 
 
 def _emit(text: str, out: Optional[str]):
@@ -56,21 +57,21 @@ def _parse(kind, text: str, flag: str):
         raise ParseError(f"bad {flag} value {text!r}") from None
 
 
-def _sweep_directions(system, n: int):
-    """n directions inside the exponent cone.
+def _sweep_directions(data, n: int):
+    """At most n directions inside the cone of the step vectors.
 
-    Dimension 2: evenly spaced angles on the arc spanned by the
-    generators; dimension 3: Fibonacci-sphere points clipped to the cone;
-    dimension 1: the single ray.
+    Dimension 1: the single ray; dimension 2: n evenly spaced angles on
+    the arc spanned by the vectors; dimension 3: the first n points of a
+    40 n-point Fibonacci sphere that lie in the cone, trying at most
+    SWEEP_CANDIDATES points.  Higher dimensions need ``--theta``.
     """
     if n < 1:
         raise FroblipError(f"--dirs must be >= 1, got {n}")
-    s = system.dim
-    cone = system.cone()
+    s = data.dim
     if s == 1:
         return [(1.0,)]
     if s == 2:
-        angles = sorted(math.atan2(v[1], v[0]) for v in system.exponents)
+        angles = sorted(math.atan2(v[1], v[0]) for v in data.vectors)
         lo, hi = angles[0], angles[-1]
         pad = (hi - lo) / (2 * n) if hi > lo else 0.0
         out = []
@@ -78,19 +79,21 @@ def _sweep_directions(system, n: int):
             a = lo + pad + (hi - lo - 2 * pad) * (i / max(n - 1, 1))
             out.append((math.cos(a), math.sin(a)))
         return out
+    if s > 3:
+        raise FroblipError(f"gamma sweeps cover dimensions 1 to 3; give "
+                           f"directions of this {s}-dimensional system with --theta")
     golden = (1 + 5 ** 0.5) / 2
+    grid = 40 * n
     out = []
-    i = 0
-    attempts = 0
-    while len(out) < n and attempts < 100_000:
-        z = 1 - 2 * (i + 0.5) / (4 * n * 10)
+    for i in range(min(grid, SWEEP_CANDIDATES)):
+        z = 1 - 2 * (i + 0.5) / grid
         r = math.sqrt(max(1 - z * z, 0.0))
         phi = 2 * math.pi * i / golden
         v = (r * math.cos(phi), r * math.sin(phi), z)
-        if cone_member(tuple(_snap(x) for x in v), cone):
+        if cone_member(tuple(_snap(x) for x in v), data.cone):
             out.append(v)
-        i += 1
-        attempts += 1
+            if len(out) == n:
+                break
     if not out:
         raise FroblipError("no sweep directions found inside the cone")
     return out
@@ -114,7 +117,7 @@ def cmd_gamma(args) -> int:
         thetas = [tuple(_parse(float, t, "--theta")
                         for t in args.theta.split(","))]
     else:
-        thetas = _sweep_directions(system, args.dirs)
+        thetas = _sweep_directions(data, args.dirs)
     thetas = [_unit(th)[0] for th in thetas]
     table = None
     if want_empirical:  # one table, deep enough for every direction
@@ -207,7 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gamma", help="directional growth sweep as CSV")
     g.add_argument("system")
-    g.add_argument("--dirs", type=int, default=9)
+    g.add_argument("--dirs", type=int, default=9,
+                   help="directions in a sweep without --theta; a 3-D sweep "
+                        "prints at most this many, the points of a 40*DIRS "
+                        "Fibonacci-sphere grid that lie in the cone")
     g.add_argument("--theta", help="comma-separated direction components")
     g.add_argument("--analytic", dest="mode", action="store_const",
                    const="analytic", default="both")

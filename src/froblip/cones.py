@@ -1,18 +1,96 @@
 """Exact rational conical-hull geometry.
 
-Membership, cone equality, strict half-space certificates and coplanarity
-functionals, all decided by exact rational linear algebra.  Generators are
-integer exponent vectors; since the data is integral, rational and real
-feasibility coincide for every question asked here.
+Every cone carries its exact H-representation, computed once per cone by
+the double-description method (Fukuda & Prodon, "Double description
+method revisited", 1996) in integer arithmetic: integer equalities that
+span the orthogonal complement of the generators, and primitive integer
+facet normals.  Membership, cone equality and minimal faces are then
+integer sign tests.  Strict half-space certificates stay exact rational
+LPs, and coplanarity functionals are exact rational linear algebra.
+Generators are integer exponent vectors; since the data is integral,
+rational and real feasibility coincide for every question asked here.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import ratlp
 from .errors import DimensionMismatch, FroblipError, NoHalfSpace
+
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _primitive(v) -> tuple:
+    g = math.gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def _cancel(d, u, c, w) -> tuple:
+    """The primitive form of d*u - c*w, which is u itself when c == 0."""
+    return _primitive([d * x - c * y for x, y in zip(u, w)]) if c else u
+
+
+def _double_description(rows, s):
+    """(lineality basis, extreme rays) of the cone {y : a . y >= 0 for
+    every row a} in Z^s, both as primitive integer vectors.
+
+    The rows are added one at a time to R^s, kept as a lineality basis
+    and a list of extreme rays, each ray with the bit set of the rows it
+    is tight at.  A row that some lineality vector crosses turns that
+    vector into a ray and is cancelled from the others; any other row
+    keeps the rays on its nonnegative side and adds one ray per adjacent
+    pair across it.  Two rays are adjacent iff no third ray is tight at
+    every row they share (the combinatorial test), and only pairs that
+    share at least (pointed dimension - 2) rows can be.
+    """
+    lin = [tuple(int(i == j) for j in range(s)) for i in range(s)]
+    rays = []
+    for k, a in enumerate(rows):
+        bit = 1 << k
+        i = next((i for i, l in enumerate(lin) if _dot(a, l)), None)
+        if i is not None:
+            piv = lin.pop(i)
+            d = _dot(a, piv)
+            if d < 0:
+                piv, d = tuple(-x for x in piv), -d
+            lin = [_cancel(d, l, _dot(a, l), piv) for l in lin]
+            rays = [(_cancel(d, r, _dot(a, r), piv), z | bit) for r, z in rays]
+            rays.append((piv, bit - 1))
+            continue
+        need = s - len(lin) - 2
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            c = _dot(a, r)
+            if c > 0:
+                pos.append((r, z, c))
+                kept.append((r, z))
+            elif c < 0:
+                neg.append((r, z, c))
+            else:
+                kept.append((r, z | bit))
+        for p, zp, cp in pos:
+            for n, zn, cn in neg:
+                common = zp & zn
+                if common.bit_count() < need or any(
+                        common & z == common and r is not p and r is not n
+                        for r, z in rays):
+                    continue
+                kept.append((_cancel(cp, n, cn, p), common | bit))
+        rays = kept
+    return lin, [r for r, _ in rays]
+
+
+def _integral(x) -> tuple:
+    """A positive integer multiple of the rational point x."""
+    x = [Fraction(v) for v in x]
+    scale = math.lcm(*(v.denominator for v in x))
+    return tuple(v.numerator * (scale // v.denominator) for v in x)
 
 
 @dataclass(frozen=True)
@@ -35,13 +113,45 @@ class Cone:
     def dim(self) -> int:
         return len(self.generators[0])
 
+    @cached_property
+    def h_representation(self) -> tuple:
+        """(equalities, normals): the cone is {x : e . x == 0 for every
+        equality e, y . x >= 0 for every normal y}.  The equalities are an
+        integer basis of the orthogonal complement of the generators' span
+        (empty when they span R^s), the normals one primitive integer
+        normal per facet (none when the cone is a linear subspace).  A
+        normal is fixed only up to adding a combination of equalities.
+        Computed on first use and kept."""
+        rows = sorted({_primitive(tuple(map(int, g)))
+                       for g in self.generators if any(g)})
+        lin, rays = _double_description(rows, self.dim)
+        return tuple(lin), tuple(rays)
+
+    def violated(self, x: Sequence) -> Optional[tuple]:
+        """An integer functional y that is >= 0 on the cone with y . x < 0:
+        a facet normal or a signed equality.  None iff x is in the cone."""
+        if len(x) != self.dim:
+            raise DimensionMismatch("point and cone dimension differ")
+        x = _integral(x)
+        equalities, normals = self.h_representation
+        for e in equalities:
+            c = _dot(e, x)
+            if c:
+                return tuple(-v for v in e) if c > 0 else e
+        return next((y for y in normals if _dot(y, x) < 0), None)
+
+
+def hull_cone(vectors: Sequence[Sequence[int]]) -> Cone:
+    """The cone over the points (X_j, 1): t is in the convex hull of the
+    X_j iff (t, 1) is in this cone, and the X_j on the minimal face of the
+    hull containing t are the lifted generators on the cone's minimal face
+    containing (t, 1)."""
+    return Cone(tuple(tuple(v) + (1,) for v in vectors))
+
 
 def cone_member(x: Sequence, c: Cone) -> bool:
     """Is x a nonnegative rational combination of the cone's generators?"""
-    if len(x) != c.dim:
-        raise DimensionMismatch("point and cone dimension differ")
-    A = [[Fraction(g[i]) for g in c.generators] for i in range(c.dim)]
-    return ratlp.feasible_nonneg(A, [Fraction(v) for v in x]) is not None
+    return c.violated(x) is None
 
 
 def cone_combination(x: Sequence, c: Cone) -> Optional[list]:
@@ -52,13 +162,34 @@ def cone_combination(x: Sequence, c: Cone) -> Optional[list]:
     return ratlp.feasible_nonneg(A, [Fraction(v) for v in x])
 
 
-def cone_equal(a: Cone, b: Cone) -> bool:
-    """True iff the two conical hulls coincide."""
+def minimal_face(x: Sequence, c: Cone) -> tuple:
+    """Indices of the generators on the smallest face of c containing x,
+    which must lie in c: exactly the generators that carry positive weight
+    in some nonnegative combination equal to x.  That face is cut out by
+    the facets tight at x."""
+    x = _integral(x)
+    tight = [y for y in c.h_representation[1] if _dot(y, x) == 0]
+    return tuple(j for j, g in enumerate(c.generators)
+                 if all(_dot(y, g) == 0 for y in tight))
+
+
+def cone_separation(a: Cone, b: Cone) -> Optional[tuple]:
+    """None iff the two conical hulls coincide; otherwise (side, y, j): y
+    is >= 0 on the generators of the cone with index ``side`` (0 for a,
+    1 for b) and y . g < 0 for generator j of the other cone."""
     if a.dim != b.dim:
         raise DimensionMismatch("cones of different dimension")
-    return all(cone_member(g, b) for g in a.generators) and all(
-        cone_member(g, a) for g in b.generators
-    )
+    for side, (inner, outer) in enumerate(((a, b), (b, a))):
+        for j, g in enumerate(outer.generators):
+            y = inner.violated(g)
+            if y is not None:
+                return side, y, j
+    return None
+
+
+def cone_equal(a: Cone, b: Cone) -> bool:
+    """True iff the two conical hulls coincide."""
+    return cone_separation(a, b) is None
 
 
 @dataclass(frozen=True)

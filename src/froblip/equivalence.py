@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .cones import Cone, cone_equal, coplanar_functional
+from .cones import cone_separation, coplanar_functional
 from .errors import IncompatibleSymbolicBases, ResourceLimit
 from .lattice import factor_integer, integer_rank, reduce_to_pseudo_basis
 from .selfsimilar import ContractionSystem, ITERATION_BUDGET, common_basis, iterate
@@ -40,7 +40,7 @@ class Verdict:
 class _Pair:
     """Facts about a pair, computed once.  ``e2``/``f2`` are ``e``/``f``
     over one merged pseudo-basis; ``points_*`` their distinct exponent
-    points (a multiset spans the cone of its set, and a repeated row of
+    points (a repeated point changes no rank, and a repeated row of
     <eta, X_j> = 1 is the same equation)."""
 
     e: ContractionSystem
@@ -101,11 +101,15 @@ def _screen(e: ContractionSystem, f: ContractionSystem):
     if rank_e != rank_f:
         return pair, Verdict(NOT_EQUIVALENT, "rank",
                              {"invariant": "rank", "values": [rank_e, rank_f]})
-    if not cone_equal(Cone(pair.points_e), Cone(pair.points_f)):
+    separation = cone_separation(pair.e2.cone, pair.f2.cone)
+    if separation is not None:
+        side, y, j = separation
         return pair, Verdict(NOT_EQUIVALENT, "cone",
                              {"invariant": "cone",
                               "values": [list(map(list, pair.e2.exponents)),
-                                         list(map(list, pair.f2.exponents))]})
+                                         list(map(list, pair.f2.exponents))],
+                              "functional": {"side": side, "y": list(y),
+                                             "point": j}})
     return pair, None
 
 
@@ -115,7 +119,11 @@ def screen_invariants(e: ContractionSystem,
 
     Checks, in order: a common pseudo-basis (UNDECIDED without one),
     Hausdorff dimension, rank and cone equality.  Returns None when all
-    pass.
+    pass.  A cone refutation's certificate holds both sides' exponent
+    vectors in ``values`` and a separating integer functional in
+    ``functional``: ``{"side": i, "y": y, "point": j}`` with
+    ``y . X >= 0`` for every X in ``values[i]`` and
+    ``y . values[1 - i][j] < 0``.
     """
     return _screen(e, f)[1]
 

@@ -15,9 +15,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .cones import Cone, HalfSpaceCertificate, cone_member, half_space_certificate
+from .cones import Cone, cone_member, half_space_certificate, hull_cone
 from .errors import (
     DirectionOutsideCone,
     FroblipError,
@@ -50,9 +51,16 @@ class DefiningData:
     def dim(self) -> int:
         return len(self.vectors[0])
 
-    @property
+    @cached_property
     def cone(self) -> Cone:
+        """The cone of the vectors, kept so that its facets are computed
+        once."""
         return Cone(tuple(self.vectors))
+
+    @cached_property
+    def hull(self) -> Cone:
+        """``cones.hull_cone`` of the vectors, kept likewise."""
+        return hull_cone(self.vectors)
 
     def score(self, x: Sequence) -> Fraction:
         return sum(Fraction(a) * Fraction(x_i) for a, x_i in zip(self.alpha, x))

@@ -4,7 +4,9 @@ For coplanar step vectors the growth rate along a direction factors into a
 geometric scale times the maximum Shannon entropy of a probability vector
 with a prescribed first moment.  The interior problem is solved through the
 exponential-family dual (damped Newton on the moment map); boundary targets
-are first restricted to the minimal face of the hull, found by exact LP.
+are first restricted to the minimal face of the hull.  Hull membership and
+that face are exact sign tests against the facets of the cone over the
+lifted points (X_j, 1), computed once per set of step vectors.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import ratlp
-from .cones import Cone, CoplanarFunctional, cone_member
+from .cones import Cone, CoplanarFunctional, cone_member, hull_cone, minimal_face
 from .errors import DirectionOutsideCone, NotConverged, NotCoplanar, TargetOutsideHull
 from .frobenius import SNAP_DENOM, DefiningData, _snap, _unit
 from .lattice import row_hnf
@@ -38,19 +40,6 @@ class EntropySolution:
     residual: float
 
 
-def _hull_lp_rows(vectors, indices):
-    s = len(vectors[0])
-    A = [[Fraction(vectors[j][i]) for j in indices] for i in range(s)]
-    A.append([Fraction(1)] * len(indices))
-    return A
-
-
-def _hull_membership(vectors, target):
-    """Exact convex-hull membership of the (snapped-rational) target."""
-    b = [Fraction(t) for t in target] + [Fraction(1)]
-    return ratlp.feasible_nonneg(_hull_lp_rows(vectors, range(len(vectors))), b)
-
-
 def _affine_projection(vectors, point):
     """Exact orthogonal projection of point onto the affine hull of vectors."""
     def dot(u, w):
@@ -66,39 +55,26 @@ def _affine_projection(vectors, point):
                  for i, b in enumerate(base))
 
 
-def _hull_point(vectors, target):
+def _hull_point(vectors, target, hull):
     """The exact hull point that target names, or raise TargetOutsideHull.
+    ``hull`` is ``hull_cone(vectors)``.
 
     Float coordinates snap to the grid one by one, so a float target on a
     lower-dimensional hull can land just off that hull's affine span.
     """
     point = tuple(_snap(t) for t in target)
-    if _hull_membership(vectors, point) is not None:
+    if cone_member(point + (1,), hull):
         return point
     if any(isinstance(t, float) for t in target):
         proj = _affine_projection(vectors, point)
         if (max(abs(a - b) for a, b in zip(proj, point)) <= HULL_SNAP_SLACK
-                and _hull_membership(vectors, proj) is not None):
+                and cone_member(proj + (1,), hull)):
             return proj
     raise TargetOutsideHull(f"target {tuple(target)} outside the hull")
 
 
-def _minimal_face(vectors, target):
-    """Indices that can carry positive weight in some representation."""
-    idx = list(range(len(vectors)))
-    b = [Fraction(t) for t in target] + [Fraction(1)]
-    A = _hull_lp_rows(vectors, idx)
-    support = []
-    for j in idx:
-        obj = [Fraction(0)] * len(idx)
-        obj[j] = Fraction(1)
-        status, _, value = ratlp.lp_max(obj, A, b)
-        if status == ratlp.OPTIMAL and value > 0:
-            support.append(j)
-    return support
-
-
-def max_entropy(vectors: Sequence[Sequence[int]], target: Sequence) -> EntropySolution:
+def max_entropy(vectors: Sequence[Sequence[int]], target: Sequence,
+                hull: Optional[Cone] = None) -> EntropySolution:
     """Maximize entropy of p subject to sum p_j X_j = target, sum p_j = 1.
 
     Duplicate vectors are kept as distinct indices (multiset semantics), so
@@ -115,10 +91,15 @@ def max_entropy(vectors: Sequence[Sequence[int]], target: Sequence) -> EntropySo
     other target raises TargetOutsideHull.  The moment equations are solved
     for that accepted point, in floats.  ``p_j`` is proportional to
     ``exp(beta . X_j)`` on the active support; ``beta`` is zero off the
-    pivot axes of the face's affine hull.
+    pivot axes of the face's affine hull.  Hull membership and the minimal
+    face are sign tests against the facets of ``hull``, which must be
+    ``hull_cone(vectors)`` when given (pass ``DefiningData.hull`` to reuse
+    its facets across calls).
     """
-    point = _hull_point(vectors, target)
-    support = _minimal_face(vectors, point)
+    if hull is None:
+        hull = hull_cone(vectors)
+    point = _hull_point(vectors, target, hull)
+    support = minimal_face(point + (1,), hull)
     X = [vectors[j] for j in support]
     v = [float(t) for t in point]
     # the pivot axes of the span of X_j - X_0 are coordinates on the
@@ -195,7 +176,7 @@ def analytic_gamma(data: DefiningData, eta: CoplanarFunctional,
     if not eta.present:
         raise NotCoplanar("defining data admits no coplanarity functional")
     th, th_snap = _unit(theta)
-    if not cone_member(th_snap, Cone(tuple(data.vectors))):
+    if not cone_member(th_snap, data.cone):
         raise DirectionOutsideCone(f"direction {th} outside the cone")
     # exact scale and target so the target sits exactly on the affine
     # hyperplane <eta, x> = 1; a float target would fail the exact hull test
@@ -203,7 +184,7 @@ def analytic_gamma(data: DefiningData, eta: CoplanarFunctional,
     if scale <= 0:
         raise DirectionOutsideCone("direction has nonpositive hyperplane scale")
     target = tuple(t / scale for t in th_snap)
-    sol = max_entropy(data.vectors, target)
+    sol = max_entropy(data.vectors, target, data.hull)
     if sol.residual > MOMENT_TOL:
         raise NotConverged(f"entropy solve along {th} stopped at moment "
                            f"residual {sol.residual:.3g} > {MOMENT_TOL:g}")

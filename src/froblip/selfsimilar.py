@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from . import flows
@@ -89,7 +90,10 @@ class ContractionSystem:
             r = r * self.ratios[letter - 1]
         return r
 
+    @cached_property
     def cone(self) -> Cone:
+        """The cone of the exponents, kept so that its facets are computed
+        once."""
         return Cone(tuple(self.exponents))
 
 

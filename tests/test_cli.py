@@ -134,6 +134,48 @@ def test_gamma_analytic_noncoplanar_domain_error(tmp_path, capsys):
     assert "NotCoplanar" in out.err
 
 
+def test_gamma_sweep_above_3d_names_theta(tmp_path, capsys):
+    s4 = write(tmp_path, "s4.json", {"rationals": ["1/2", "1/3", "1/5", "1/7"]})
+    assert main(["gamma", s4, "--empirical", "--dirs", "3"]) == 4
+    err = capsys.readouterr().err
+    assert "--theta" in err and "dimension differ" not in err
+    assert main(["gamma", s4, "--analytic", "--theta=1,1,1,1"]) == 0
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+PINNED_SWEEPS = [
+    (["1/4", "1/6", "1/9", "1/6"], "gamma_analytic_4_6_9_6.csv"),
+    (["1/8", "1/12", "1/18", "1/27", "1/12", "1/18"],
+     "gamma_analytic_8_12_18_27_12_18.csv"),
+    (["1/30", "1/30", "1/30", "1/20", "1/45", "1/75"],
+     "gamma_analytic_30_30_30_20_45_75.csv"),
+]
+
+
+@pytest.mark.parametrize("ratios, name", PINNED_SWEEPS,
+                         ids=[n[:-4] for _, n in PINNED_SWEEPS])
+def test_gamma_analytic_sweep_pinned(tmp_path, capsys, ratios, name):
+    # CSVs written by the LP-based hull membership and minimal face that
+    # the facet sign tests replaced; the sweeps must not move
+    p = write(tmp_path, "s.json", {"rationals": ratios})
+    assert main(["gamma", p, "--analytic", "--dirs", "60"]) == 0
+    with open(os.path.join(DATA, name)) as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def test_gamma_narrow_3d_cone_sweep_ends_with_its_grid(tmp_path, capsys):
+    # 1 of the 360 grid points lies in this cone; the sweep prints that
+    # one row and tries no candidate past the grid
+    p = write(tmp_path, "narrow.json", {
+        "generators": ["u", "v", "w"],
+        "monomials": [[5, 5, 4], [5, 4, 5], [4, 5, 5]]})
+    assert main(["gamma", p, "--analytic", "--dirs", "9"]) == 0
+    assert capsys.readouterr().out == (
+        "# frobenius-lipschitz v0.1.0\n"
+        "theta_1,theta_2,theta_3,gamma_analytic,gamma_empirical,stderr\n"
+        "0.599739,0.538743,0.591667,0.110756,,\n")
+
+
 def test_gamma_sweep_builds_one_table(tmp_path, capsys, monkeypatch):
     p = write(tmp_path, "three.json", {"rationals": ["1/2", "1/3", "1/6"]})
     bounds = []
@@ -152,7 +194,7 @@ def test_gamma_sweep_builds_one_table(tmp_path, capsys, monkeypatch):
     system = serialize.load_system(p)
     data = frobenius.make_defining_data(system.exponents, system.alpha)
     rows = []
-    for theta in cli._sweep_directions(system, 5):
+    for theta in cli._sweep_directions(data, 5):
         est = frobenius.estimate_gamma(data, theta, table=None)
         rows.append({"theta": est.theta, "gamma_empirical": est.gamma_hat,
                      "stderr": est.stderr})
@@ -248,6 +290,7 @@ BAD_ARGUMENTS = [
     (["multiplicity", "{s2}", "--bound", "1/0"], 2),
     (["multiplicity", "{s2}", "--bound", "0"], 4),
     (["cutset", "{s2}", "--exp-k", "abc"], 2),
+    (["gamma", "{s4}", "--empirical", "--dirs", "3"], 4),  # 4-D sweep: --theta
 ]
 
 
@@ -255,7 +298,9 @@ BAD_ARGUMENTS = [
     " ".join([a[0], *a[2:]]) for a, _ in BAD_ARGUMENTS])
 def test_bad_argument_typed_error(tmp_path, argv, code):
     s2 = write(tmp_path, "s2.json", {"rationals": ["1/2", "1/3"]})
-    proc = run_python("-m", "froblip.cli", *(a.format(s2=s2) for a in argv))
+    s4 = write(tmp_path, "s4.json", {"rationals": ["1/2", "1/3", "1/5", "1/7"]})
+    proc = run_python("-m", "froblip.cli",
+                      *(a.format(s2=s2, s4=s4) for a in argv))
     assert proc.returncode == code
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")

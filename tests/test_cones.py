@@ -2,16 +2,23 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from froblip.cones import (
     Cone,
     cone_combination,
     cone_equal,
     cone_member,
+    cone_separation,
     coplanar_functional,
     half_space_certificate,
+    hull_cone,
+    minimal_face,
 )
 from froblip.errors import DimensionMismatch, NoHalfSpace
+from froblip.lattice import integer_rank
+from lp_oracles import lp_cone_equal, lp_cone_member, lp_hull_member, lp_minimal_face
 
 F = Fraction
 
@@ -127,3 +134,127 @@ def test_semigroup_span_reaches_deep_cone_points():
     for x1, x2 in itertools.product(range(13), repeat=2):
         if (x1, x2) in spanned:
             assert cone_member((F(x1), F(x2)), c)
+
+
+def test_h_representation_small_cones():
+    # a quadrant: two facets, no equalities
+    eq, normals = Cone(((1, 0), (0, 1))).h_representation
+    assert eq == () and sorted(normals) == [(0, 1), (1, 0)]
+    # a half-plane (not pointed): one facet
+    eq, normals = Cone(((1, 0), (-1, 0), (0, 1))).h_representation
+    assert eq == () and normals == ((0, 1),)
+    # the whole plane: no inequality at all
+    assert Cone(((1, 0), (-1, 0), (0, 1), (0, -1))).h_representation == ((), ())
+    # a ray in R^3: two equalities, one facet inside their complement
+    c = Cone(((2, 2, 0), (1, 1, 0)))
+    eq, normals = c.h_representation
+    assert len(eq) == 2 and len(normals) == 1
+    assert all(_dot(e, (1, 1, 0)) == 0 for e in eq)
+    assert cone_member((F(3), F(3), F(0)), c)
+    assert not cone_member((F(-1), F(-1), F(0)), c)
+    assert not cone_member((F(1), F(1), F(1)), c)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+@st.composite
+def integer_cones(draw):
+    """Integer generator lists with s <= 6 and m <= 12: the integer span of
+    r <= s random vectors (lower-dimensional when r < s or the vectors are
+    dependent), some with duplicated generators, some with a generator and
+    its negative (not pointed), some with a zero generator."""
+    s = draw(st.integers(1, 6))
+    r = draw(st.integers(1, s))
+    basis = draw(st.lists(st.lists(st.integers(-2, 2), min_size=s, max_size=s),
+                          min_size=r, max_size=r))
+    coords = draw(st.lists(st.lists(st.integers(-2, 3), min_size=r, max_size=r),
+                           min_size=1, max_size=10))
+    gens = [tuple(sum(c * b[i] for c, b in zip(co, basis)) for i in range(s))
+            for co in coords]
+    extra = draw(st.sampled_from(("none", "duplicate", "opposite", "zero")))
+    if extra == "duplicate":
+        gens += gens[:2]
+    elif extra == "opposite":
+        gens.append(tuple(-x for x in gens[-1]))
+    elif extra == "zero":
+        gens.append((0,) * s)
+    assume(any(any(g) for g in gens))
+    return tuple(gens[:12])
+
+
+def _test_points(draw, gens):
+    """Generators, sums of generator subsets (points on faces and inside),
+    differences (often outside), and random points."""
+    s = len(gens[0])
+    points = list(gens)
+    for _ in range(4):
+        picks = draw(st.lists(st.integers(0, len(gens) - 1), max_size=4))
+        points.append(tuple(sum(gens[j][i] for j in picks) for i in range(s)))
+        a, b = draw(st.integers(0, len(gens) - 1)), draw(st.integers(0, len(gens) - 1))
+        points.append(tuple(x - y for x, y in zip(gens[a], gens[b])))
+    points += draw(st.lists(st.tuples(*[st.integers(-4, 4)] * s), max_size=4))
+    return points
+
+
+@given(integer_cones(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_facet_membership_matches_lp(gens, data):
+    c = Cone(gens)
+    equalities, normals = c.h_representation
+    # the equalities span the orthogonal complement of the generators
+    assert len(equalities) == c.dim - integer_rank(gens)
+    assert all(_dot(e, g) == 0 for e in equalities for g in gens)
+    assert all(_dot(y, g) >= 0 for y in normals for g in gens)
+    for x in _test_points(data.draw, gens):
+        expect = lp_cone_member(x, gens)
+        assert cone_member(x, c) == expect
+        y = c.violated(x)
+        assert (y is None) == expect
+        if y is not None:  # a separating functional, checked with integers
+            assert _dot(y, x) < 0 and all(_dot(y, g) >= 0 for g in gens)
+    half = tuple(F(v, 2) for v in gens[0])
+    assert cone_member(half, c)
+
+
+@given(integer_cones(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_minimal_face_matches_per_generator_lp(vectors, data):
+    hull = hull_cone(vectors)
+    picks = data.draw(st.lists(st.integers(0, len(vectors) - 1), min_size=1,
+                               max_size=4))
+    target = tuple(F(sum(vectors[j][i] for j in picks), len(picks))
+                   for i in range(len(vectors[0])))
+    assert lp_hull_member(vectors, target)
+    assert cone_member(target + (1,), hull)
+    assert minimal_face(target + (1,), hull) == lp_minimal_face(vectors, target)
+    far = tuple(v + 9 for v in target)
+    assert cone_member(far + (1,), hull) == lp_hull_member(vectors, far)
+
+
+@given(integer_cones(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_cone_equal_matches_lp_definition(gens, data):
+    s = len(gens[0])
+    how = data.draw(st.sampled_from(("shuffle", "add_sum", "add_point", "drop")))
+    other = list(gens)
+    if how == "shuffle":
+        other = data.draw(st.permutations(other))
+        other = [tuple(2 * x for x in g) for g in other]
+    elif how == "add_sum":
+        other.append(tuple(a + b for a, b in zip(gens[0], gens[-1])))
+    elif how == "add_point":
+        other.append(data.draw(st.tuples(*[st.integers(-3, 3)] * s)))
+    elif len(other) > 1:
+        other.pop(data.draw(st.integers(0, len(other) - 1)))
+    assume(any(any(g) for g in other))
+    a, b = Cone(gens), Cone(tuple(other))
+    expect = lp_cone_equal(gens, other)
+    assert cone_equal(a, b) == expect
+    sep = cone_separation(a, b)
+    assert (sep is None) == expect
+    if sep is not None:
+        side, y, j = sep
+        inner, outer = (gens, other) if side == 0 else (other, gens)
+        assert all(_dot(y, g) >= 0 for g in inner) and _dot(y, outer[j]) < 0

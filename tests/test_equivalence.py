@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from froblip import equivalence
+from froblip import equivalence, serialize
 from froblip.equivalence import (
     EQUIVALENT,
     NOT_EQUIVALENT,
@@ -126,6 +127,29 @@ def test_screen_cone():
     b = sym({"u": 1}, {"u": 1, "v": 1}, {"v": 1})
     v = screen_invariants(a, b)
     assert v is None or v.result == NOT_EQUIVALENT
+
+
+@pytest.mark.parametrize("a, b", [
+    (({"u": 1}, {"v": 1}), ({"u": 1}, {"u": 1, "v": 1})),
+    (({"u": 1}, {"u": 1, "v": 1}), ({"u": 1}, {"v": 1})),
+    (({"u": 1}, {"v": 1}, {"w": 1}), ({"u": 1, "v": 1}, {"v": 1}, {"w": 1})),
+    (({"u": 2, "v": 1}, {"u": 1, "v": 2}), ({"u": 3, "v": 1}, {"u": 1, "v": 1})),
+])
+def test_cone_refutation_certificate(a, b):
+    verdict = decide(sym(*a), sym(*b))
+    assert (verdict.result, verdict.reason) == (NOT_EQUIVALENT, "cone")
+    cert = json.loads(json.dumps(serialize.verdict_to_json(verdict)))["certificate"]
+    values, functional = cert["values"], cert["functional"]
+    side, y, j = functional["side"], functional["y"], functional["point"]
+
+    def dot(x):
+        return sum(yi * xi for yi, xi in zip(y, x))
+
+    # y is nonnegative on one side's generators, negative at a point of the
+    # other side: that point lies outside the first side's cone
+    assert all(isinstance(v, int) for v in y)
+    assert all(dot(x) >= 0 for x in values[side])
+    assert dot(values[1 - side][j]) < 0
 
 
 def test_no_common_basis_undecided():

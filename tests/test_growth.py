@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from froblip.cones import coplanar_functional
+from froblip.cones import coplanar_functional, hull_cone
 from froblip.errors import NotConverged, NotCoplanar, TargetOutsideHull
 from froblip.frobenius import SNAP_DENOM, make_defining_data
 from froblip import growth
 from froblip.growth import analytic_gamma, max_entropy
+
+from lp_oracles import lp_minimal_face
 
 SQ2 = math.sqrt(2)
 
@@ -146,8 +148,8 @@ def _numpy_max_entropy(vectors, target):
     """Oracle: the damped Newton solve on numpy that max_entropy used
     before, in the full coordinates with a least-squares step; it returns
     (p, value, residual)."""
-    point = growth._hull_point(vectors, target)
-    support = growth._minimal_face(vectors, point)
+    point = growth._hull_point(vectors, target, hull_cone(vectors))
+    support = lp_minimal_face(vectors, point)
     m = len(vectors)
     X = np.array([vectors[j] for j in support], dtype=float)
     v = np.array([float(t) for t in point], dtype=float)
