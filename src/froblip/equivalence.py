@@ -6,7 +6,10 @@ this order, and the first verdict wins: the invariant screen (common
 basis, dimension, rank, cone), the permutation fast path, the
 axis-counting refutation, the full-rank and two-branch deciders, the
 cardinality refutation, and the iteration identity P_e**p0 == P_f**q0,
-which decides every coplanar pair (see ``decide``).
+which decides every coplanar pair (see ``decide``).  Two rank-1 systems
+over one basis value or generator compare dimensions exactly, by the sign
+of a polynomial gcd at 0 and 1 (``_same_dimension_root``); other numeric
+pairs compare float dimensions.  ``decide`` loads no third-party library.
 """
 from __future__ import annotations
 
@@ -25,6 +28,9 @@ NOT_EQUIVALENT = "NOT_EQUIVALENT"
 UNDECIDED = "UNDECIDED"
 
 DIMENSION_TOL = 1e-10
+# reduced degree up to which rank-1 dimensions are compared exactly; at
+# 500, random pairs of 2-30 exponents took up to 1.1 s (2-vCPU VM)
+DIMENSION_DEGREE_BUDGET = 500
 PERMUTATION_CERT_LIMIT = 10_000
 
 
@@ -63,21 +69,85 @@ def _pair(e: ContractionSystem, f: ContractionSystem) -> _Pair:
                  Counter(e.ratios) == Counter(f.ratios))
 
 
-def _symbolic_dimensions_equal(e: ContractionSystem, f: ContractionSystem) -> bool:
-    """Exact comparison for rank-1 symbolic systems over one generator.
+def _dimension_polynomial(exponents, g: int) -> list:
+    """Coefficients of sum_j x**(a_j / g) - 1, lowest degree first."""
+    coeffs = [0] * (max(exponents) // g + 1)
+    coeffs[0] = -1
+    for a in exponents:
+        coeffs[a // g] += 1
+    return coeffs
 
-    Each dimension equation reduces to a polynomial with a unique root in
-    (0,1); the dimensions agree iff the polynomial gcd still has a root
-    there.  sympy is imported here, for this check only.
+
+def _remainder(f: list, g: list) -> list:
+    """Primitive pseudo-remainder of f by g: integer coefficients, lowest
+    degree first, no trailing zeros ([] when g divides f).  Each step
+    scales f by lc(g) / gcd(lc(g), lc(f)), so the remainder is a nonzero
+    rational multiple of f mod g."""
+    r = list(f)
+    k = len(g) - 1
+    while len(r) > k:
+        d = math.gcd(g[-1], r[-1])
+        a, b = g[-1] // d, r[-1] // d
+        if a != 1:
+            r = [a * x for x in r]
+        for i, y in enumerate(g, len(r) - 1 - k):
+            r[i] -= b * y
+        while r and not r[-1]:
+            r.pop()
+    content = math.gcd(*r)
+    return [x // content for x in r] if content > 1 else r
+
+
+def _same_dimension_root(a, b) -> Optional[bool]:
+    """Whether sum_j x**a_j = 1 and sum_j x**b_j = 1 share their root in
+    (0, 1), for positive integer exponents a and b; None when the larger
+    exponent divided by gcd(a + b) exceeds DIMENSION_DEGREE_BUDGET.
+
+    A rank-1 system over the basis value (or generator) t has ratios
+    t**a_j, and sum_j t**(a_j delta) = 1 says that x = t**delta is the
+    root, so two systems over one basis have equal dimensions iff their
+    roots agree.  Each P(x) = sum_j x**a_j - 1 has one sign change, so by
+    Descartes exactly one positive root, and it is simple; P(0) = -1 and
+    P(1) = m - 1 > 0 put it in (0, 1).  Dividing every exponent by
+    d = gcd(a + b) substitutes y = x**d, which maps (0, 1) onto itself,
+    so the two roots stay equal or stay apart.  A gcd G of the reduced
+    P_a and P_b divides both, so G is nonzero at 0 and 1 and has at most
+    one root in (0, 1), a simple one, and any such root is both
+    polynomials' root: the roots agree iff G(0) * G(1) < 0.  Euclid with
+    primitive pseudo-remainders gives G up to a nonzero constant, which
+    leaves that sign alone.  The cost grows with the cube of the reduced
+    degree in the worst case, hence the budget.
     """
-    import sympy
+    d = math.gcd(*a, *b)
+    if max(*a, *b) // d > DIMENSION_DEGREE_BUDGET:
+        return None
+    f, g = _dimension_polynomial(a, d), _dimension_polynomial(b, d)
+    while g:
+        f, g = g, _remainder(f, g)
+    return f[0] * sum(f) < 0
 
-    x = sympy.Symbol("x")
-    g = sympy.gcd(*(sympy.Poly(sum(x ** int(v[0]) for v in s.exponents) - 1, x)
-                    for s in (e, f)))
-    if g.total_degree() == 0:
-        return False
-    return sympy.Poly(g, x).count_roots(0, 1) >= 1
+
+def _dimension(pair: _Pair) -> Optional[Verdict]:
+    """NOT_EQUIVALENT ``dimension`` when the two dimensions differ.
+
+    Two rank-1 systems over one basis value or generator are compared
+    exactly by ``_same_dimension_root``.  Other numeric pairs, and rank-1
+    numeric pairs past its budget, compare their float dimensions to
+    DIMENSION_TOL; other symbolic pairs pass.
+    """
+    e, f = pair.e, pair.f
+    same = None
+    if e.dim == 1 and f.dim == 1 and e.basis == f.basis:
+        same = _same_dimension_root([a for a, in e.exponents],
+                                    [b for b, in f.exponents])
+    if same is None and e.delta is not None:
+        same = abs(e.delta - f.delta) <= DIMENSION_TOL
+    if same is not False:
+        return None
+    values = ["distinct dimension-equation roots"] if e.delta is None \
+        else [e.delta, f.delta]
+    return Verdict(NOT_EQUIVALENT, "dimension",
+                   {"invariant": "dimension", "values": values})
 
 
 def _screen(e: ContractionSystem, f: ContractionSystem):
@@ -86,17 +156,9 @@ def _screen(e: ContractionSystem, f: ContractionSystem):
         pair = _pair(e, f)
     except IncompatibleSymbolicBases:
         return None, Verdict(UNDECIDED, "NO_COMMON_BASIS")
-    if e.delta is not None and f.delta is not None:
-        if abs(e.delta - f.delta) > DIMENSION_TOL:
-            return pair, Verdict(NOT_EQUIVALENT, "dimension",
-                                 {"invariant": "dimension",
-                                  "values": [e.delta, f.delta]})
-    elif e.is_symbolic and f.is_symbolic and e.dim == 1 and f.dim == 1 \
-            and e.basis == f.basis:
-        if not _symbolic_dimensions_equal(e, f):
-            return pair, Verdict(NOT_EQUIVALENT, "dimension",
-                                 {"invariant": "dimension",
-                                  "values": ["distinct dimension-equation roots"]})
+    verdict = _dimension(pair)
+    if verdict is not None:
+        return pair, verdict
     rank_e, rank_f = pair.ranks
     if rank_e != rank_f:
         return pair, Verdict(NOT_EQUIVALENT, "rank",
@@ -118,11 +180,11 @@ def screen_invariants(e: ContractionSystem,
     """Necessary-invariant screen; first failing invariant wins.
 
     Checks, in order: a common pseudo-basis (UNDECIDED without one),
-    Hausdorff dimension, rank and cone equality.  Returns None when all
-    pass.  A cone refutation's certificate holds both sides' exponent
-    vectors in ``values`` and a separating integer functional in
-    ``functional``: ``{"side": i, "y": y, "point": j}`` with
-    ``y . X >= 0`` for every X in ``values[i]`` and
+    Hausdorff dimension (see ``_dimension``), rank and cone equality.
+    Returns None when all pass.  A cone refutation's certificate holds
+    both sides' exponent vectors in ``values`` and a separating integer
+    functional in ``functional``: ``{"side": i, "y": y, "point": j}``
+    with ``y . X >= 0`` for every X in ``values[i]`` and
     ``y . values[1 - i][j] < 0``.
     """
     return _screen(e, f)[1]

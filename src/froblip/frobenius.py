@@ -62,6 +62,22 @@ class DefiningData:
         """``cones.hull_cone`` of the vectors, kept likewise."""
         return hull_cone(self.vectors)
 
+    @cached_property
+    def _in_cone(self) -> dict:
+        """{snapped direction: whether the cone holds it}, for ``direction``."""
+        return {}
+
+    def direction(self, theta: Sequence[float]):
+        """``_unit(theta)``, or DirectionOutsideCone when the snapped
+        direction is outside the cone; each snapped direction is tested
+        once, however many estimates ask."""
+        th, th_snap = _unit(theta)
+        if th_snap not in self._in_cone:
+            self._in_cone[th_snap] = cone_member(th_snap, self.cone)
+        if not self._in_cone[th_snap]:
+            raise DirectionOutsideCone(f"direction {th} outside the cone")
+        return th, th_snap
+
     def score(self, x: Sequence) -> Fraction:
         return sum(Fraction(a) * Fraction(x_i) for a, x_i in zip(self.alpha, x))
 
@@ -238,9 +254,7 @@ def estimate_gamma(data: DefiningData, theta: Sequence[float],
     one is built at ``gamma_table_bound``; a given table must reach it.
     """
     _check_radii(k_max, k_count)
-    th, th_snap = _unit(theta)
-    if not cone_member(th_snap, data.cone):
-        raise DirectionOutsideCone(f"direction {th} outside the cone")
+    th, _ = data.direction(theta)
     # the radii of np.geomspace(k_max / 16, k_max, k_count): even steps in
     # log10, both endpoints pinned
     lo = math.log10(k_max / 16.0)

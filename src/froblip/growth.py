@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import ratlp
 from .cones import Cone, CoplanarFunctional, cone_member, hull_cone, minimal_face
 from .errors import DirectionOutsideCone, NotConverged, NotCoplanar, TargetOutsideHull
-from .frobenius import SNAP_DENOM, DefiningData, _snap, _unit
+from .frobenius import SNAP_DENOM, DefiningData, _snap
 from .lattice import row_hnf
 
 MOMENT_TOL = 1e-12
@@ -175,9 +175,7 @@ def analytic_gamma(data: DefiningData, eta: CoplanarFunctional,
     """
     if not eta.present:
         raise NotCoplanar("defining data admits no coplanarity functional")
-    th, th_snap = _unit(theta)
-    if not cone_member(th_snap, data.cone):
-        raise DirectionOutsideCone(f"direction {th} outside the cone")
+    th, th_snap = data.direction(theta)
     # exact scale and target so the target sits exactly on the affine
     # hyperplane <eta, x> = 1; a float target would fail the exact hull test
     scale = sum(Fraction(e) * t for e, t in zip(eta.eta, th_snap))

@@ -264,11 +264,13 @@ def cut_set(system: ContractionSystem, t: Threshold,
     """Depth-first enumeration of the cut-set at threshold t.
 
     Descends while the prefix ratio stays above t; each emitted word w has
-    ratio(w) <= t < ratio(parent of w).
+    ratio(w) <= t < ratio(parent of w).  Words that share an exponent
+    point share the answer, so each point is compared with t once.
     """
     mp_alpha = _mp_alpha(system) if (
         isinstance(t, ExpThreshold) and not system.is_symbolic) else None
     zero = (0,) * system.dim
+    below = {}
     out_words = []
     out_exps = []
     stack = [((), zero)]
@@ -279,7 +281,9 @@ def cut_set(system: ContractionSystem, t: Threshold,
             nw = word + (letter,)
             ne = tuple(a + b for a, b in
                        zip(exp, system.exponents[letter - 1]))
-            if _ratio_below(system, ne, t, mp_alpha):
+            if ne not in below:
+                below[ne] = _ratio_below(system, ne, t, mp_alpha)
+            if below[ne]:
                 out_words.append(nw)
                 out_exps.append(ne)
                 emitted += 1

@@ -126,6 +126,36 @@ def test_gamma_theta_outside_cone(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("theta", [None, "1,1", "-1,1"])
+def test_gamma_both_tests_each_direction_once(tmp_path, capsys, monkeypatch,
+                                              theta):
+    """analytic_gamma and estimate_gamma share one cone test per direction,
+    and a direction outside the cone still fails with the same message."""
+    p = write(tmp_path, "line.json", {"rationals": ["1/4", "1/6", "1/9"]})
+    tested = []
+    real = frobenius.cone_member
+
+    def counted(x, c):
+        if len(x) == 2:  # a direction, not a lifted hull point
+            tested.append(tuple(x))
+        return real(x, c)
+
+    for module in (cli, frobenius, growth):
+        monkeypatch.setattr(module, "cone_member", counted)
+    argv = ["gamma", p, "--both", "--k-max", "30"]
+    argv += ["--dirs", "3"] if theta is None else [f"--theta={theta}"]
+    rc = main(argv)
+    out = capsys.readouterr()
+    if theta == "-1,1":
+        assert rc == 4 and out.out == ""
+        assert out.err == "error: direction (-0.7071067811865475, " \
+                          "0.7071067811865475) outside the cone\n"
+    else:
+        assert rc == 0
+        assert len(out.out.splitlines()) == 2 + (3 if theta is None else 1)
+    assert len(tested) == len(set(tested)) == (3 if theta is None else 1)
+
+
 def test_gamma_analytic_noncoplanar_domain_error(tmp_path, capsys):
     p = write(tmp_path, "sym.json",
               {"generators": ["l"], "monomials": [[5], [1]]})
@@ -343,20 +373,25 @@ GUARD = (
     (["build", "{half}"], 0, HEAVY),
     (["decide", "{half}", "{quarters}"], 0, HEAVY),
     (["decide", "{half}", "{thirds}"], 10, HEAVY),
+    (["decide", "{l51}", "{l32}"], 0, HEAVY),
     (["cutset", "{half}", "--t", "1/8"], 0, HEAVY),
     (["multiplicity", "{half}", "--bound", "10"], 0, HEAVY),
     (["gamma", "{half}", "--dirs", "1", "--k-max", "30"], 0, HEAVY),
-    (["decide", "{uv}", "{uuv}", "--diagnostics"], 11,
-     ("numpy",)),
+    (["decide", "{uv}", "{uuv}", "--diagnostics"], 11, HEAVY),
     (["matchable", "{half}", "{quarters}", "--exp-k", "3", "--search"], 0,
      ("numpy",)),
-], ids=["import", "build", "decide", "decide-refuted", "cutset-t",
-        "multiplicity", "gamma", "decide-diagnostics", "matchable-exp-k"])
+], ids=["import", "build", "decide", "decide-refuted", "decide-rank1-symbolic",
+        "cutset-t", "multiplicity", "gamma", "decide-diagnostics",
+        "matchable-exp-k"])
 def test_commands_import_only_what_they_call(tmp_path, half, quarters,
                                              argv, rc, banned):
     paths = {"half": half, "quarters": quarters,
              "thirds": write(tmp_path, "thirds.json",
                              {"rationals": ["1/3", "1/3", "1/3"]}),
+             "l51": write(tmp_path, "l51.json", {"generators": ["l"],
+                          "monomials": [[5], [1]]}),
+             "l32": write(tmp_path, "l32.json", {"generators": ["l"],
+                          "monomials": [[3], [2]]}),
              # a pair outside the decidable families: {u, v, uv} vs {u, v, u^2 v}
              "uv": write(tmp_path, "uv.json", {"generators": ["u", "v"],
                          "monomials": [[1, 0], [0, 1], [1, 1]]}),

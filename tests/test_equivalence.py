@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -119,6 +121,108 @@ def test_screen_symbolic_dimension_gcd():
     c = sym({"l": 4}, {"l": 1})
     v = screen_invariants(c, b)
     assert v is not None and v.reason == "dimension"
+
+
+def _sympy_same_root(a, b):
+    """Oracle: the gcd of sum x**a_j - 1 and sum x**b_j - 1, at the raw
+    exponents, has a root in [0, 1]."""
+    x = sympy.Symbol("x")
+    g = sympy.gcd(*(sympy.Poly(sum(x ** int(v) for v in s) - 1, x)
+                    for s in (a, b)))
+    return g.total_degree() > 0 and int(sympy.Poly(g, x).count_roots(0, 1)) >= 1
+
+
+def _rank1_pairs(rng):
+    """Seeded exponent pairs (a, b) of rank-1 systems over one generator."""
+    for _ in range(25):  # two-branch patterns, c up to 300
+        c = rng.randint(1, 300)
+        yield rng.choice([([5 * c, c], [3 * c, 2 * c]), ([4 * c, c], [3 * c, 2 * c]),
+                          ([5 * c, c], [4 * c, 2 * c])])
+    for _ in range(25):  # iterations of one base, scaled by a common factor
+        base = [rng.randint(1, 5) for _ in range(rng.randint(2, 3))]
+        p, q = rng.sample(range(1, 6 - len(base)), 2)  # at most 9 ratios
+        k = rng.randint(1, 40)
+        yield tuple([k * sum(w) for w in itertools.product(base, repeat=n)]
+                    for n in (p, q))
+    for _ in range(25):  # repeated exponents, sides with different own gcds
+        ga, gb = rng.sample([1, 2, 3, 4, 6], 2)
+        a = [ga * rng.randint(1, 6) for _ in range(rng.randint(2, 5))]
+        b = [gb * rng.randint(1, 6) for _ in range(rng.randint(2, 5))]
+        yield a + a[:1], b
+    for _ in range(25):  # a shared factor x**2 - x + 1 whose roots lie off (0, 1)
+        yield ([6 * rng.randint(0, 9) + 5, 6 * rng.randint(0, 9) + 1],
+               [6 * rng.randint(0, 9) + 5, 6 * rng.randint(0, 9) + 1])
+    for _ in range(25):  # unrelated exponents
+        yield ([rng.randint(1, 40) for _ in range(rng.randint(2, 6))],
+               [rng.randint(1, 40) for _ in range(rng.randint(2, 6))])
+
+
+def test_same_dimension_root_matches_sympy():
+    seen = Counter()
+    for a, b in _rank1_pairs(random.Random(11)):
+        want = _sympy_same_root(a, b)
+        seen[want] += 1
+        assert equivalence._same_dimension_root(a, b) is want, (a, b)
+        v = screen_invariants(sym(*({"l": x} for x in a)),
+                              sym(*({"l": x} for x in b)))
+        assert (v is not None and v.reason == "dimension") is not want, (a, b, v)
+    assert seen[True] >= 25 and seen[False] >= 25, seen
+
+
+def test_numeric_rank1_dimension_matches_sympy(monkeypatch):
+    """Numeric pairs over one prime: the exact test decides, with the float
+    screen switched off, and the certificate still carries both float
+    dimensions."""
+    monkeypatch.setattr(equivalence, "DIMENSION_TOL", math.inf)
+    rng = random.Random(12)
+    seen = Counter()
+    for a, b in _rank1_pairs(rng):
+        d = math.gcd(*a, *b)  # keep the ratios small
+        a, b = [x // d for x in a], [x // d for x in b]
+        if max(a + b) > 40 or len(a + b) > 12:
+            continue
+        p = rng.choice([2, 3, 5])
+        e = build_system([Fraction(1, p ** x) for x in a])
+        f = build_system([Fraction(1, p ** x) for x in b])
+        v = screen_invariants(e, f)
+        refuted = v is not None and v.reason == "dimension"
+        assert refuted is not _sympy_same_root(a, b), (a, b, v)
+        seen[refuted] += 1
+        if refuted:
+            assert v.certificate == {"invariant": "dimension",
+                                     "values": [e.delta, f.delta]}
+    assert seen[True] >= 20 and seen[False] >= 20, seen
+
+
+def test_dimension_degree_budget(monkeypatch):
+    """Past the budget a pair skips the exact test: symbolic pairs go on
+    to the later stages, numeric ones to the float screen."""
+    monkeypatch.setattr(equivalence, "DIMENSION_DEGREE_BUDGET", 5)
+    assert equivalence._same_dimension_root([10, 2], [6, 4]) is True
+    assert equivalence._same_dimension_root([12, 2], [6, 4]) is None
+    assert screen_invariants(sym({"l": 6}, {"l": 1}), sym({"l": 3}, {"l": 2})) is None
+    v = screen_invariants(build_system(["1/64", "1/2"]),
+                          build_system(["1/8", "1/4"]))
+    assert v.reason == "dimension" and v.certificate["values"][0] < 1
+
+
+def test_above_budget_pair_is_fast_and_right():
+    """Reduced degree 200001: past the budget, so the two-branch decider
+    refutes the pair (its roots differ), and no sympy root count runs."""
+    a = sym({"l": 200001}, {"l": 1})
+    b = sym({"l": 150000}, {"l": 2})
+    start = time.perf_counter()
+    v = decide(a, b)
+    assert time.perf_counter() - start < 5
+    assert (v.result, v.reason) == (NOT_EQUIVALENT, "two_branch")
+    # three branches: no decider applies, and the verdict stays open
+    a = sym({"l": 601}, {"l": 1}, {"l": 1})
+    b = sym({"l": 600}, {"l": 2}, {"l": 1})
+    assert not _sympy_same_root([601, 1, 1], [600, 2, 1])
+    start = time.perf_counter()
+    v = decide(a, b)
+    assert time.perf_counter() - start < 5
+    assert (v.result, v.reason) == (UNDECIDED, "OUTSIDE_DECIDABLE_FAMILIES")
 
 
 def test_screen_cone():

@@ -174,6 +174,48 @@ def test_threshold_tie_detected():
         cut_multiset(s, ExpThreshold(k))
 
 
+def _brute_cut_words(system, t):
+    """Words whose ratio is <= t while their parent's is > t, by
+    breadth-first enumeration with exact ratios."""
+    out, frontier = [], [((), F(1))]
+    while frontier:
+        nxt = []
+        for word, r in frontier:
+            for letter, rho in enumerate(system.ratios, 1):
+                (out if r * rho <= t else nxt).append((word + (letter,), r * rho))
+        frontier = nxt
+    return tuple(sorted(w for w, _ in out))
+
+
+@pytest.mark.parametrize("ratios, t", [
+    (["1/2", "1/3", "1/6"], F(1, 500)),
+    (["1/2", "1/2", "1/4"], F(1, 300)),
+    (["1/4", "1/6", "1/9"], F(1, 1000)),
+])
+def test_cut_set_compares_each_point_once(monkeypatch, ratios, t):
+    """Many words share an exponent point; each point is compared with the
+    threshold once, and the cut-set is the brute-force one."""
+    s = build_system(ratios)
+    asked = []
+    real = selfsimilar._ratio_below
+
+    def counted(system, exponent, *args):
+        asked.append(exponent)
+        return real(system, exponent, *args)
+
+    monkeypatch.setattr(selfsimilar, "_ratio_below", counted)
+    cs = cut_set(s, t)
+    assert cs.words == _brute_cut_words(s, t)
+    assert cs.exponents == tuple(s.word_exponent(w) for w in cs.words)
+    assert len(asked) == len(set(asked)) < len(cs.words)
+
+
+def test_threshold_tie_detected_in_cut_set():
+    s = build_system(["1/2", "1/2"])
+    with pytest.raises(ThresholdTie):
+        cut_set(s, ExpThreshold(F(3 * 693147180559945309, 10 ** 18)))
+
+
 def test_common_basis_numeric():
     a = build_system(["1/2", "1/2"])
     b = build_system(["1/4", "1/4", "1/4", "1/4"])
