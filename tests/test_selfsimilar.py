@@ -172,6 +172,8 @@ def test_threshold_tie_detected():
     k = F(3 * 693147180559945309, 10 ** 18)  # ~ 3 log 2, within 1e-12
     with pytest.raises(ThresholdTie):
         cut_multiset(s, ExpThreshold(k))
+    with pytest.raises(ThresholdTie):
+        cut_set(s, ExpThreshold(k))
 
 
 def _brute_cut_words(system, t):
@@ -208,12 +210,6 @@ def test_cut_set_compares_each_point_once(monkeypatch, ratios, t):
     assert cs.words == _brute_cut_words(s, t)
     assert cs.exponents == tuple(s.word_exponent(w) for w in cs.words)
     assert len(asked) == len(set(asked)) < len(cs.words)
-
-
-def test_threshold_tie_detected_in_cut_set():
-    s = build_system(["1/2", "1/2"])
-    with pytest.raises(ThresholdTie):
-        cut_set(s, ExpThreshold(F(3 * 693147180559945309, 10 ** 18)))
 
 
 def test_common_basis_numeric():
