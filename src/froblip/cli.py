@@ -116,6 +116,9 @@ def cmd_gamma(args) -> int:
     if args.theta:
         thetas = [tuple(_parse(float, t, "--theta")
                         for t in args.theta.split(","))]
+        if len(thetas[0]) != system.dim:
+            raise FroblipError(f"--theta has {len(thetas[0])} components, but "
+                               f"the system has dimension {system.dim}")
     else:
         thetas = _sweep_directions(data, args.dirs)
     thetas = [_unit(th)[0] for th in thetas]

@@ -41,10 +41,6 @@ class NotCoplanar(FroblipError):
     """The operation requires generators lying on a common hyperplane."""
 
 
-class ThresholdTie(FroblipError):
-    """A cut-set threshold comparison fell inside the tie-rejection band."""
-
-
 class BasisMismatch(FroblipError):
     """Two systems were combined without a common pseudo-basis."""
 

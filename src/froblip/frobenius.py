@@ -132,7 +132,7 @@ class MultiplicityTable:
     bound: Fraction
     counts: dict = field(repr=False)
 
-    @property
+    @cached_property
     def fully_determined_bound(self) -> Fraction:
         """Score level below which nearest-point queries are safe.
 
@@ -142,6 +142,15 @@ class MultiplicityTable:
         alpha_norm = math.sqrt(sum(float(a) ** 2 for a in self.data.alpha))
         margin = Fraction(math.ceil(R_CAP * alpha_norm + 1))
         return self.bound - margin
+
+    @cached_property
+    def _determined(self) -> tuple:
+        """alpha as integers over the lcm of its denominators, and
+        fully_determined_bound times that lcm: a point num / den is safe
+        to query when alpha . num <= that bound times den."""
+        scale = math.lcm(*(Fraction(a).denominator for a in self.data.alpha))
+        return (tuple(int(a * scale) for a in self.data.alpha),
+                self.fully_determined_bound * scale)
 
 
 def build_multiplicity(data: DefiningData, bound,
@@ -172,10 +181,12 @@ def multiplicity_at(table: MultiplicityTable, x: Sequence) -> int:
     squared distances are exact integers over x's common denominator.
     """
     xs = tuple(_snap(v) for v in x)
-    if table.data.score(xs) > table.fully_determined_bound:
-        raise QueryOutOfRange("query beyond the table's determined region")
     den = math.lcm(*(v.denominator for v in xs))
     num = [int(v * den) for v in xs]
+    alpha, limit = table._determined
+    score = sum(a * n for a, n in zip(alpha, num))
+    if score * limit.denominator > limit.numerator * den:
+        raise QueryOutOfRange("query beyond the table's determined region")
     for r in (1, 2, 4, R_CAP):
         reach = r * den  # the lattice points within r of x in every coordinate
         box = itertools.product(*(range(-((reach - n) // den), (n + reach) // den + 1)
@@ -279,7 +290,11 @@ def estimate_gamma(data: DefiningData, theta: Sequence[float],
 
 
 def frobenius_number_1d(a: Sequence[int]) -> int:
-    """Classical Frobenius number by a DP sieve up to the Schur bound.
+    """Classical Frobenius number, by shortest paths over the residues
+    mod a_1 = min(a) (Nijenhuis 1979), relaxed round-robin (Boecker and
+    Liptak 2007): n[r] is the least representable number = r mod a_1, and
+    g = max(n) - a_1.  O(m a_1) time, O(a_1) memory; a_1 above
+    DEFAULT_POINT_BUDGET raises ResourceLimit.
 
     Returns -1 when 1 is among the generators (every natural number is
     representable, and the convention (g+1+N) within the semigroup gives
@@ -288,15 +303,22 @@ def frobenius_number_1d(a: Sequence[int]) -> int:
     a = [int(v) for v in a]
     if len(a) < 2 or any(v < 1 for v in a) or all(v < 2 for v in a):
         raise FroblipError("need m >= 2 positive integers, some >= 2")
-    if 1 in a:
-        return -1
     g = math.gcd(*a)
     if g != 1:
         raise GcdNotOne(f"gcd of {a} is {g}")
-    limit = min(a) * max(a)
-    reach = [False] * (limit + 1)
-    reach[0] = True
-    for i in range(1, limit + 1):
-        reach[i] = any(i >= v and reach[i - v] for v in a)
-    return max(i for i in range(limit + 1) if not reach[i])
-
+    a1 = min(a)
+    if a1 > DEFAULT_POINT_BUDGET:
+        raise ResourceLimit(f"smallest generator {a1} exceeds the budget of "
+                            f"{DEFAULT_POINT_BUDGET} residues")
+    n = [0] + [math.inf] * (a1 - 1)
+    for v in a:
+        d = math.gcd(a1, v)
+        for p in range(d):  # each residue class mod d is one cycle of +v
+            best = min(n[p::d])
+            if best == math.inf:
+                continue
+            for _ in range(a1 // d):
+                best += v
+                r = best % a1
+                best = n[r] = min(best, n[r])
+    return max(n) - a1

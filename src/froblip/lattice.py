@@ -8,6 +8,7 @@ factored by trial division below 2^16, and by sympy only beyond its reach.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -101,12 +102,11 @@ class PseudoBasis:
         return m
 
     def alpha_real(self) -> tuple:
-        """The canonical real half-space functional -(log b_1,...,log b_s)."""
-        import math
-
+        """-(log b_1,...,log b_s), as log(denominator) - log(numerator)."""
         if not self.is_numeric:
             raise FroblipError("symbolic basis has no numeric log values")
-        return tuple(-math.log(v) for v in self.values)
+        return tuple(math.log(v.denominator) - math.log(v.numerator)
+                     for v in self.values)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -3,7 +3,8 @@
 A contraction system packages a vector of similarity ratios with its exact
 exponent-lattice coordinates: a pseudo-basis, integer exponent vectors, a
 rational half-space certificate, and (for numeric ratios) the Hausdorff
-dimension from the dimension equation sum rho_j^delta = 1.
+dimension from the dimension equation sum rho_j^delta = 1.  Cut-set
+thresholds, e^{-k} among them, split the words exactly, with no tolerance.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from .errors import (
     FroblipError,
     IncompatibleSymbolicBases,
     ResourceLimit,
-    ThresholdTie,
 )
 from .lattice import (
     Monomial,
@@ -32,8 +32,7 @@ from .lattice import (
     reduce_to_pseudo_basis,
 )
 
-TIE_EPS = 1e-12
-MP_PRECISION = 200  # bits, for e^{-k} threshold comparisons
+SCORE_ERR = 2.0 ** -45  # float e^{-k} score error per unit of k and denominator bit
 DEFAULT_WORD_BUDGET = 500_000
 ITERATION_BUDGET = 10 ** 6
 WITNESS_BUDGET = 2000  # words per cut-set up to which matchable builds a witness
@@ -98,13 +97,21 @@ class ContractionSystem:
 
 
 def hausdorff_dimension(ratios: Sequence[Fraction]) -> float:
-    """Unique delta > 0 with sum ratios**delta == 1, to |residual| <= 1e-13."""
-    rs = [float(r) for r in ratios]
-    if len(rs) < 2 or any(not 0 < r < 1 for r in rs):
+    """Unique delta > 0 with sum ratios**delta == 1, to |residual| <= 1e-13.
+
+    A ratio whose float underflows to 0 enters as exp(delta * log r), with
+    log r taken from its numerator and denominator."""
+    if len(ratios) < 2 or any(not 0 < r < 1 for r in ratios):
         raise FroblipError("need m >= 2 ratios in (0,1)")
+    rs = [float(r) for r in ratios]
+    logs = [math.log(r) if r else math.log(q.numerator) - math.log(q.denominator)
+            for r, q in zip(rs, ratios)]
+
+    def powers(d):
+        return [r ** d if r else math.exp(d * lg) for r, lg in zip(rs, logs)]
 
     def f(d):
-        return sum(r ** d for r in rs) - 1.0
+        return sum(powers(d)) - 1.0
 
     lo, hi = 0.0, 1.0
     while f(hi) > 0:
@@ -120,7 +127,7 @@ def hausdorff_dimension(ratios: Sequence[Fraction]) -> float:
     d = (lo + hi) / 2
     for _ in range(5):  # Newton polish
         fd = f(d)
-        dfd = sum((r ** d) * math.log(r) for r in rs)
+        dfd = sum(p * lg for p, lg in zip(powers(d), logs))
         if dfd == 0:
             break
         d -= fd / dfd
@@ -200,16 +207,30 @@ def iterate(system: ContractionSystem, p: int,
                              system.delta, system.alpha)
 
 
-def _mp_alpha(system: ContractionSystem):
-    import mpmath
+def _exceeds_exp(q: Fraction, k: Fraction) -> bool:
+    """Whether q > e^k, for rationals q and k > 0: e^k is irrational
+    (Lindemann-Weierstrass), so q leaves some bracket lo <= e^k 2^prec <= hi.
+    Each squares j times one of e^x, x = k / 2^j <= 1/2, whose n Taylor terms
+    rounded down (the last one 0) sum to less than 2n + 2 units too low."""
+    j = math.ceil(k).bit_length() + 1
+    prec = 64 + j
+    while True:
+        term = lo = 1 << prec
+        n = 0
+        while term:
+            n += 1
+            term = term * k.numerator // (k.denominator * n << j)
+            lo += term
+        hi = lo + 2 * n + 2
+        for _ in range(j):
+            lo, hi = (lo * lo) >> prec, -((-hi * hi) >> prec)
+        side = q.numerator << prec
+        if not q.denominator * lo < side < q.denominator * hi:
+            return side >= q.denominator * hi
+        prec *= 2
 
-    with mpmath.workprec(MP_PRECISION):
-        return tuple(-mpmath.log(mpmath.mpf(v.numerator) / v.denominator)
-                     for v in system.basis.values)
 
-
-def _ratio_below(system: ContractionSystem, exponent, t: Threshold,
-                 mp_alpha=None) -> bool:
+def _ratio_below(system: ContractionSystem, exponent, t: Threshold) -> bool:
     """Exact decision of basis**exponent <= t."""
     if isinstance(t, Fraction):
         if system.is_symbolic:
@@ -236,16 +257,13 @@ def _ratio_below(system: ContractionSystem, exponent, t: Threshold,
                     "exponent thresholds on symbolic systems need rank 1"
                 )
             return Fraction(exponent[0]) >= t.k
-        import mpmath
-
-        with mpmath.workprec(MP_PRECISION):
-            score = mpmath.fsum(a * e for a, e in zip(mp_alpha, exponent))
-            diff = score - mpmath.mpf(t.k.numerator) / t.k.denominator
-            if abs(diff) < TIE_EPS:
-                raise ThresholdTie(
-                    f"exponent {tuple(exponent)} within {TIE_EPS} of the threshold"
-                )
-            return diff > 0
+        basis, kf = system.basis, float(t.k)
+        score = math.fsum(e * a for e, a in zip(exponent, basis.alpha_real()))
+        margin = SCORE_ERR * (kf + sum(abs(e) * v.denominator.bit_length()
+                                       for e, v in zip(exponent, basis.values)))
+        if abs(score - kf) > margin:
+            return score > kf
+        return _exceeds_exp(1 / basis.eval_exact(exponent), t.k)
     raise FroblipError(f"unsupported threshold {t!r}")
 
 
@@ -267,8 +285,6 @@ def cut_set(system: ContractionSystem, t: Threshold,
     ratio(w) <= t < ratio(parent of w).  Words that share an exponent
     point share the answer, so each point is compared with t once.
     """
-    mp_alpha = _mp_alpha(system) if (
-        isinstance(t, ExpThreshold) and not system.is_symbolic) else None
     zero = (0,) * system.dim
     below = {}
     out_words = []
@@ -282,7 +298,7 @@ def cut_set(system: ContractionSystem, t: Threshold,
             ne = tuple(a + b for a, b in
                        zip(exp, system.exponents[letter - 1]))
             if ne not in below:
-                below[ne] = _ratio_below(system, ne, t, mp_alpha)
+                below[ne] = _ratio_below(system, ne, t)
             if below[ne]:
                 out_words.append(nw)
                 out_exps.append(ne)
@@ -306,8 +322,6 @@ def cut_multiset(system: ContractionSystem, t: Threshold,
     enumeration), so deep thresholds with astronomically many words stay
     cheap: only lattice points are visited.
     """
-    mp_alpha = _mp_alpha(system) if (
-        isinstance(t, ExpThreshold) and not system.is_symbolic) else None
     zero = (0,) * system.dim
     score = lambda z: sum(a * Fraction(x) for a, x in zip(system.alpha, z))
     prefix = {}
@@ -327,7 +341,7 @@ def cut_multiset(system: ContractionSystem, t: Threshold,
                 continue
         if len(prefix) + len(cut) > point_budget:
             raise ResourceLimit("cut-set point budget exceeded")
-        if _ratio_below(system, z, t, mp_alpha) and z != zero:
+        if _ratio_below(system, z, t) and z != zero:
             cut[z] = cut.get(z, 0) + inflow
             continue
         prefix[z] = inflow

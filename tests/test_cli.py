@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -321,6 +322,8 @@ BAD_ARGUMENTS = [
     (["multiplicity", "{s2}", "--bound", "0"], 4),
     (["cutset", "{s2}", "--exp-k", "abc"], 2),
     (["gamma", "{s4}", "--empirical", "--dirs", "3"], 4),  # 4-D sweep: --theta
+    (["gamma", "{s2}", "--theta=1,1,1"], 4),  # 3 components, dimension 2
+    (["frobenius1d", "3000001", "3000002"], 3),  # more residues than the budget
 ]
 
 
@@ -335,6 +338,9 @@ def test_bad_argument_typed_error(tmp_path, argv, code):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
+    if "--theta=1,1,1" in argv:
+        assert "--theta has 3 components" in proc.stderr
+        assert "dimension 2" in proc.stderr
 
 
 @pytest.mark.parametrize("theta", ["1e-200,1e-200", "1e200,1e200"])
@@ -378,11 +384,12 @@ GUARD = (
     (["multiplicity", "{half}", "--bound", "10"], 0, HEAVY),
     (["gamma", "{half}", "--dirs", "1", "--k-max", "30"], 0, HEAVY),
     (["decide", "{uv}", "{uuv}", "--diagnostics"], 11, HEAVY),
+    (["cutset", "{half}", "--exp-k", "3"], 0, HEAVY),
     (["matchable", "{half}", "{quarters}", "--exp-k", "3", "--search"], 0,
-     ("numpy",)),
+     ("mpmath", "numpy", "sympy")),
 ], ids=["import", "build", "decide", "decide-refuted", "decide-rank1-symbolic",
         "cutset-t", "multiplicity", "gamma", "decide-diagnostics",
-        "matchable-exp-k"])
+        "cutset-exp-k", "matchable-exp-k"])
 def test_commands_import_only_what_they_call(tmp_path, half, quarters,
                                              argv, rc, banned):
     paths = {"half": half, "quarters": quarters,
@@ -405,3 +412,11 @@ def test_commands_import_only_what_they_call(tmp_path, half, quarters,
     code, *loaded = proc.stdout.split()
     assert int(code) == rc
     assert not set(loaded) & set(banned), loaded
+
+
+def test_frobenius1d_large_pair_is_fast(capsys):
+    # a sieve up to 99999 * 100000 would need about 10^10 entries
+    start = time.perf_counter()
+    assert main(["frobenius1d", "99999", "100000"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == f"{99999 * 100000 - 99999 - 100000}\n"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from froblip import frobenius
 from froblip.errors import (
     DirectionOutsideCone,
     FroblipError,
@@ -281,3 +282,31 @@ def test_frobenius_number_gcd_guard():
     with pytest.raises(FroblipError):
         frobenius_number_1d([5])
 
+
+def _sieve_frobenius(a):
+    """Oracle: the largest non-representable number, by a sieve up to
+    min(a) * max(a)."""
+    limit = min(a) * max(a)
+    reach = [True] + [False] * limit
+    for i in range(1, limit + 1):
+        reach[i] = any(i >= v and reach[i - v] for v in a)
+    return max(i for i in range(limit + 1) if not reach[i])
+
+
+def test_frobenius_number_matches_sieve_oracle():
+    rng = random.Random(1979)
+    checked = 0
+    while checked < 300:
+        a = [rng.randint(2, 70) for _ in range(rng.randint(2, 5))]
+        if math.gcd(*a) == 1:
+            assert frobenius_number_1d(a) == _sieve_frobenius(a), a
+            checked += 1
+
+
+def test_frobenius_number_residue_budget(monkeypatch):
+    # consecutive generators (Roberts 1956): g = ((a - 2) // 2) * a + a - 1
+    monkeypatch.setattr(frobenius, "DEFAULT_POINT_BUDGET", 10)
+    assert frobenius_number_1d([10, 11, 12]) == 49
+    monkeypatch.setattr(frobenius, "DEFAULT_POINT_BUDGET", 9)
+    with pytest.raises(ResourceLimit, match="budget of 9 residues"):
+        frobenius_number_1d([10, 11, 12])

@@ -2,19 +2,17 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import froblip
 from froblip import flows, selfsimilar
-from froblip.errors import (
-    FroblipError,
-    IncompatibleSymbolicBases,
-    ThresholdTie,
-)
+from froblip.errors import FroblipError, IncompatibleSymbolicBases
 from froblip.lattice import Monomial
 from froblip.selfsimilar import (
     ExpThreshold,
@@ -46,6 +44,16 @@ def test_hausdorff_dimension_residual():
     rs = [F(1, 3), F(1, 5), F(1, 7), F(2, 11)]
     d = hausdorff_dimension(rs)
     assert abs(sum(float(r) ** d for r in rs) - 1.0) <= 1e-13
+
+
+def test_hausdorff_dimension_below_float_range():
+    # 1/10^400 underflows to 0.0 as a float; its log comes from the integers
+    tiny = F(1, 10 ** 400)
+    d = hausdorff_dimension([tiny, tiny])
+    assert d == pytest.approx(math.log(2) / (400 * math.log(10)), rel=1e-12)
+    s = build_system(["1/2", f"1/{10 ** 400}"])
+    assert 0 < s.delta < 1
+    assert abs(0.5 ** s.delta + math.exp(-s.delta * 400 * math.log(10)) - 1) < 1e-13
 
 
 def test_build_system_numeric():
@@ -167,13 +175,60 @@ def test_a_k_band():
 
 
 def test_threshold_tie_detected():
-    # threshold k = exact score of a lattice point: 3 * log 2
+    # thresholds k within 1e-17 of the exact score 3 log 2 of the point (3,):
+    # e^k is irrational, so the exact side decides, from above and below
     s = build_system(["1/2", "1/2"])
-    k = F(3 * 693147180559945309, 10 ** 18)  # ~ 3 log 2, within 1e-12
-    with pytest.raises(ThresholdTie):
-        cut_multiset(s, ExpThreshold(k))
-    with pytest.raises(ThresholdTie):
-        cut_set(s, ExpThreshold(k))
+    for digits, level in ((2079441541679835927, 3), (2079441541679835929, 4)):
+        t = ExpThreshold(F(digits, 10 ** 18))
+        assert cut_multiset(s, t) == {(level,): 2 ** level}
+        assert set(cut_set(s, t).exponents) == {(level,)}
+
+
+def _mp_score(system, point):
+    """sum_i e_i (-log b_i) to 60 digits, independently of froblip."""
+    with mpmath.workdps(60):
+        return mpmath.fsum(e * (mpmath.log(v.denominator) - mpmath.log(v.numerator))
+                           for v, e in zip(system.basis.values, point))
+
+
+# numeric systems, among them reduced bases with values far below 2^-1074
+# (1/6^700, 1/(15^500 * 7)) and one near 1 (27/32)
+ORACLE_SYSTEMS = [
+    ["1/2", "1/3"],
+    ["1/2", "1/3", "1/5", "2/7"],
+    ["3/4", "1/9", "5/11"],
+    ["27/32", "729/1024"],
+    ["1/2", "1/3", "1/6"],
+    [f"1/{6 ** 700}", f"1/{6 ** 1400}"],
+    [f"1/{6 ** 700}", f"1/{6 ** 1400}", "1/5"],
+    [f"1/{15 ** 500 * 7}", f"1/{15 ** 1000 * 49}", "2/3"],
+]
+
+
+def test_exp_threshold_side_matches_mpmath_oracle():
+    """The exact side of e^{-k} on 560 seeded (system, point, k) cases,
+    with k from 1e-1 down to 1e-25 away from the point's score, against
+    a 60-digit mpmath oracle that never calls froblip."""
+    rng = random.Random(20261018)
+    cases = tiny = below_floats = 0
+    for index, ratios in enumerate(ORACLE_SYSTEMS, 1):
+        s = build_system(ratios)
+        below_floats += any(v < F(1, 2 ** 1074) for v in s.basis.values)
+        while cases < 70 * index:
+            point = tuple(rng.randint(-3, 40) for _ in range(s.dim))
+            score = _mp_score(s, point)
+            if score < 1:
+                continue
+            gap = F(rng.choice((-1, 1)), 10 ** rng.choice((1, 5, 9, 12, 13, 14, 15, 15,
+                                                          16, 20, 25)))
+            with mpmath.workdps(60):
+                k = F(int(mpmath.floor(score * 10 ** 40)), 10 ** 40) + gap
+                diff = score - mpmath.mpf(k.numerator) / k.denominator
+            assert abs(diff) > mpmath.mpf(10) ** -26
+            assert selfsimilar._ratio_below(s, point, ExpThreshold(k)) == (diff > 0)
+            cases += 1
+            tiny += abs(gap) <= F(1, 10 ** 15)
+    assert cases == 560 and tiny > 150 and below_floats == 3
 
 
 def _brute_cut_words(system, t):
