@@ -3,10 +3,11 @@
 The central object is the multiplicity table: for integer step vectors
 X_1..X_m with X_j . alpha > 0, the number of words over {1..m} whose step
 sum reaches a lattice point z.  Counts are exact big integers, computed by
-a dynamic program processed in increasing z . alpha order (every
-predecessor of a point has strictly smaller score, so the recurrence is
-well-founded).  Off the lattice, counts extend by the nearest-point rule,
-searched exactly in lattice boxes around the query.
+one lattice walk in increasing z . alpha order (every predecessor of a
+point has strictly smaller score, so the recurrence is well-founded).  The
+same walk, with points at a threshold counted but not extended, gives
+``selfsimilar``'s cut-sets.  Off the lattice, counts extend by the
+nearest-point rule, searched exactly in lattice boxes around the query.
 """
 from __future__ import annotations
 
@@ -91,37 +92,40 @@ def make_defining_data(vectors: Sequence[Sequence[int]],
     return DefiningData(vecs, tuple(Fraction(a) for a in alpha))
 
 
-def _dp_counts(vectors, step_scores, bound, point_budget):
-    """Counts over all points with score <= bound, in increasing score
-    order; every predecessor of a point is counted before it."""
-    s = len(vectors[0])
-    zero = (0,) * s
-    counts = {}
-    heap = [(step_scores[0] * 0, zero)]
-    queued = {zero}
+def _walk(vectors, alpha, point_budget, over, bound=None, leaf=None):
+    """Word counts of the lattice points reached from 0 by the steps.
+
+    Points are visited in increasing (alpha-score, point) order, after all
+    their predecessors, and each inner point adds its count to its
+    successors' (0 counts 1).  Successors scoring above ``bound``, when
+    given, are not visited; a point other than 0 for which ``leaf`` holds
+    is counted but not extended.  Returns {inner point: count} and {leaf
+    point: count}, in visiting order; visiting more than ``point_budget``
+    points raises ResourceLimit(over).
+    """
+    steps = [(v, sum(Fraction(a) * x for a, x in zip(alpha, v))) for v in vectors]
+    zero = (0,) * len(vectors[0])
+    inner, leaves = {}, {}
+    pending = {zero: 1}  # queued points, with the counts pushed into them so far
+    heap = [(0, zero)]
     while heap:
         sc, z = heapq.heappop(heap)
-        if z == zero:
-            m = 1
-        else:
-            m = 0
-            for v in vectors:
-                pred = tuple(a - b for a, b in zip(z, v))
-                m += counts.get(pred, 0)
-        counts[z] = m
-        if len(counts) > point_budget:
-            raise ResourceLimit(
-                f"multiplicity table exceeded {point_budget} lattice points"
-            )
-        for v, w in zip(vectors, step_scores):
+        if len(inner) + len(leaves) >= point_budget:
+            raise ResourceLimit(over)
+        # every predecessor scores lower: it was visited, and pushed its count
+        m = pending.pop(z)
+        if leaf is not None and inner and leaf(z):  # inner is empty only at 0
+            leaves[z] = m
+            continue
+        inner[z] = m
+        for v, w in steps:
             nxt = tuple(a + b for a, b in zip(z, v))
-            if nxt in queued:
-                continue
-            nsc = sc + w
-            if nsc <= bound:
-                queued.add(nxt)
-                heapq.heappush(heap, (nsc, nxt))
-    return counts
+            if nxt in pending:
+                pending[nxt] += m
+            elif bound is None or sc + w <= bound:
+                pending[nxt] = m
+                heapq.heappush(heap, (sc + w, nxt))
+    return inner, leaves
 
 
 @dataclass
@@ -159,8 +163,8 @@ def build_multiplicity(data: DefiningData, bound,
     bound = Fraction(bound)
     if bound <= 0:
         raise FroblipError("bound must be positive")
-    step_scores = [data.score(v) for v in data.vectors]
-    counts = _dp_counts(data.vectors, step_scores, bound, point_budget)
+    over = f"multiplicity table exceeded {point_budget} lattice points"
+    counts, _ = _walk(data.vectors, data.alpha, point_budget, over, bound)
     return MultiplicityTable(data, bound, counts)
 
 

@@ -5,10 +5,11 @@ exponent-lattice coordinates: a pseudo-basis, integer exponent vectors, a
 rational half-space certificate, and (for numeric ratios) the Hausdorff
 dimension from the dimension equation sum rho_j^delta = 1.  Cut-set
 thresholds, e^{-k} among them, split the words exactly, with no tolerance.
+Cut-sets, as words or as counts per exponent point, come from the lattice
+walk of ``frobenius``, with the points at or below the threshold as leaves.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .errors import (
     IncompatibleSymbolicBases,
     ResourceLimit,
 )
+from .frobenius import _walk
 from .lattice import (
     Monomial,
     PseudoBasis,
@@ -33,6 +35,7 @@ from .lattice import (
 )
 
 SCORE_ERR = 2.0 ** -45  # float e^{-k} score error per unit of k and denominator bit
+K_CAP = Fraction(2 ** 1000)  # stands in for a larger k (no float) in the float test
 DEFAULT_WORD_BUDGET = 500_000
 ITERATION_BUDGET = 10 ** 6
 WITNESS_BUDGET = 2000  # words per cut-set up to which matchable builds a witness
@@ -184,7 +187,10 @@ def build_system(ratios: Sequence) -> ContractionSystem:
 
 def iterate(system: ContractionSystem, p: int,
             budget: int = ITERATION_BUDGET) -> ContractionSystem:
-    """The p-th iteration: all length-p products, lexicographic word order."""
+    """The p-th iteration: all length-p products, lexicographic word order.
+
+    The dimension carries over unchanged: sum_w r_w^delta over the words
+    of length p is (sum_j r_j^delta)^p = 1."""
     if p < 1:
         raise FroblipError("iteration order must be >= 1")
     if system.m ** p > budget:
@@ -196,13 +202,6 @@ def iterate(system: ContractionSystem, p: int,
     for word in itertools.product(range(1, system.m + 1), repeat=p):
         ratios.append(system.word_ratio(word))
         exponents.append(system.word_exponent(word))
-    if system.delta is not None:
-        if len(ratios) <= 100_000:
-            total = sum(float(r) ** system.delta for r in ratios)
-        else:
-            total = sum(float(r) ** system.delta for r in system.ratios) ** p
-        if abs(total - 1.0) > 1e-12 * len(ratios) ** 0.5 + 1e-12:
-            raise FroblipError("iteration broke the dimension equation")
     return ContractionSystem(tuple(ratios), system.basis, tuple(exponents),
                              system.delta, system.alpha)
 
@@ -257,11 +256,11 @@ def _ratio_below(system: ContractionSystem, exponent, t: Threshold) -> bool:
                     "exponent thresholds on symbolic systems need rank 1"
                 )
             return Fraction(exponent[0]) >= t.k
-        basis, kf = system.basis, float(t.k)
+        basis, kf = system.basis, float(min(t.k, K_CAP))
         score = math.fsum(e * a for e, a in zip(exponent, basis.alpha_real()))
         margin = SCORE_ERR * (kf + sum(abs(e) * v.denominator.bit_length()
                                        for e, v in zip(exponent, basis.values)))
-        if abs(score - kf) > margin:
+        if abs(score - kf) > margin and (score < kf or t.k < K_CAP):
             return score > kf
         return _exceeds_exp(1 / basis.eval_exact(exponent), t.k)
     raise FroblipError(f"unsupported threshold {t!r}")
@@ -279,78 +278,45 @@ class CutSet:
 
 def cut_set(system: ContractionSystem, t: Threshold,
             word_budget: int = DEFAULT_WORD_BUDGET) -> CutSet:
-    """Depth-first enumeration of the cut-set at threshold t.
+    """The cut-set at threshold t, in lexicographic word order.
 
-    Descends while the prefix ratio stays above t; each emitted word w has
-    ratio(w) <= t < ratio(parent of w).  Words that share an exponent
-    point share the answer, so each point is compared with t once.
+    Each word w has ratio(w) <= t < ratio(parent of w).  The lattice walk
+    counts the words at every point first, comparing each point with t
+    once; past ``word_budget`` words nothing is built.  The cut-set is a
+    full m-ary tree's leaves, so N words lie on at most 2N - 1 points, and
+    the walk stops past 2 * word_budget.  The words are then read off the
+    prefix points, letters in increasing order.
     """
-    zero = (0,) * system.dim
-    below = {}
-    out_words = []
-    out_exps = []
-    stack = [((), zero)]
-    emitted = 0
+    over = f"cut-set exceeds {word_budget} words"
+    _, cut = _walk(system.exponents, system.alpha, 2 * word_budget, over,
+                   leaf=lambda z: _ratio_below(system, z, t))
+    if sum(cut.values()) > word_budget:
+        raise ResourceLimit(over)
+    found = []  # every child of a prefix point is a prefix or a cut point
+    stack = [((), (0,) * system.dim)]
     while stack:
-        word, exp = stack.pop()
+        word, z = stack.pop()
+        if z in cut:
+            found.append((word, z))
+            continue
         for letter in range(system.m, 0, -1):
-            nw = word + (letter,)
-            ne = tuple(a + b for a, b in
-                       zip(exp, system.exponents[letter - 1]))
-            if ne not in below:
-                below[ne] = _ratio_below(system, ne, t)
-            if below[ne]:
-                out_words.append(nw)
-                out_exps.append(ne)
-                emitted += 1
-                if emitted > word_budget:
-                    raise ResourceLimit(f"cut-set exceeds {word_budget} words")
-            else:
-                stack.append((nw, ne))
-    order = sorted(range(len(out_words)), key=lambda i: out_words[i])
-    words = tuple(out_words[i] for i in order)
-    exps = tuple(out_exps[i] for i in order)
-    ratios = tuple(system.word_ratio(w) for w in words)
-    return CutSet(t, words, ratios, exps)
+            step = system.exponents[letter - 1]
+            stack.append((word + (letter,), tuple(a + b for a, b in zip(z, step))))
+    words, exps = zip(*found)
+    return CutSet(t, words, tuple(map(system.word_ratio, words)), exps)
 
 
 def cut_multiset(system: ContractionSystem, t: Threshold,
                  point_budget: int = DEFAULT_WORD_BUDGET) -> dict:
     """Cut-set aggregated per lattice point: {exponent point: word count}.
 
-    Counts are computed by the prefix dynamic program (no word
-    enumeration), so deep thresholds with astronomically many words stay
-    cheap: only lattice points are visited.
+    Counts come from the lattice walk (no word enumeration), so deep
+    thresholds with astronomically many words stay cheap: only lattice
+    points are visited.
     """
-    zero = (0,) * system.dim
-    score = lambda z: sum(a * Fraction(x) for a, x in zip(system.alpha, z))
-    prefix = {}
-    cut = {}
-    heap = [(Fraction(0), zero)]
-    queued = {zero}
-    while heap:
-        _, z = heapq.heappop(heap)
-        if z == zero:
-            inflow = 1
-        else:
-            inflow = sum(
-                prefix.get(tuple(a - b for a, b in zip(z, v)), 0)
-                for v in system.exponents
-            )
-            if inflow == 0:
-                continue
-        if len(prefix) + len(cut) > point_budget:
-            raise ResourceLimit("cut-set point budget exceeded")
-        if _ratio_below(system, z, t) and z != zero:
-            cut[z] = cut.get(z, 0) + inflow
-            continue
-        prefix[z] = inflow
-        for v in system.exponents:
-            nxt = tuple(a + b for a, b in zip(z, v))
-            if nxt not in queued:
-                queued.add(nxt)
-                heapq.heappush(heap, (score(nxt), nxt))
-    return cut
+    return _walk(system.exponents, system.alpha, point_budget,
+                 "cut-set point budget exceeded",
+                 leaf=lambda z: _ratio_below(system, z, t))[1]
 
 
 def a_k_set(system: ContractionSystem, k) -> dict:

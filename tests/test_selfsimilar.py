@@ -5,6 +5,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -12,7 +14,7 @@ import pytest
 
 import froblip
 from froblip import flows, selfsimilar
-from froblip.errors import FroblipError, IncompatibleSymbolicBases
+from froblip.errors import FroblipError, IncompatibleSymbolicBases, ResourceLimit
 from froblip.lattice import Monomial
 from froblip.selfsimilar import (
     ExpThreshold,
@@ -28,6 +30,15 @@ from froblip.selfsimilar import (
 )
 
 F = Fraction
+
+
+def _env(**extra):
+    """The environment with this froblip first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(froblip.__file__)))
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def test_hausdorff_dimension_known_values():
@@ -85,6 +96,14 @@ def test_iterate_products():
     assert s2.exponents == ((2,), (3,), (3,), (4,))
     assert s2.delta == s.delta
     assert iterate(s, 1) is s
+    # a ratio below the float range: the dimension needs no re-check
+    tiny = F(1, 10 ** 400)
+    s = build_system(["1/2", f"1/{10 ** 400}"])
+    s2 = iterate(s, 2)
+    assert s2.ratios == (F(1, 4), tiny / 2, tiny / 2, tiny * tiny)
+    assert s2.exponents == tuple(tuple(a + b for a, b in zip(x, y))
+                                 for x in s.exponents for y in s.exponents)
+    assert s2.delta == s.delta
 
 
 def test_iterate_exponent_sums():
@@ -233,26 +252,47 @@ def test_exp_threshold_side_matches_mpmath_oracle():
 
 def _brute_cut_words(system, t):
     """Words whose ratio is <= t while their parent's is > t, by
-    breadth-first enumeration with exact ratios."""
-    out, frontier = [], [((), F(1))]
+    breadth-first enumeration with exact ratios; the empty word is always
+    a prefix.  On a symbolic system over the one generator l, e^{-k} is
+    read as l^k, so a word is at or below it when its degree is >= k."""
+    if isinstance(t, ExpThreshold):
+        below = lambda r: sum(r.as_dict().values()) >= t.k
+    else:
+        below = lambda r: r <= t
+    letters = list(enumerate(system.ratios, 1))
+    out, frontier = [], [((j,), rho) for j, rho in letters]
     while frontier:
         nxt = []
         for word, r in frontier:
-            for letter, rho in enumerate(system.ratios, 1):
-                (out if r * rho <= t else nxt).append((word + (letter,), r * rho))
+            if below(r):
+                out.append(word)
+            else:
+                nxt.extend((word + (j,), r * rho) for j, rho in letters)
         frontier = nxt
-    return tuple(sorted(w for w, _ in out))
+    return tuple(sorted(out))
+
+
+L2, L3 = Monomial.make({"l": 2}), Monomial.make({"l": 3})
 
 
 @pytest.mark.parametrize("ratios, t", [
     (["1/2", "1/3", "1/6"], F(1, 500)),
     (["1/2", "1/2", "1/4"], F(1, 300)),
     (["1/4", "1/6", "1/9"], F(1, 1000)),
+    # symbolic rank 1 over l itself: e^{-12} is l^12
+    ([L2, L3, L3], ExpThreshold(F(12))),
+    # t >= 1: every letter is at or below t, the empty word stays a prefix
+    (["1/2", "1/2", "1/3"], F(1)),
+    # t equal to the ratio of several words: (1/6)^2, (1/2)^2 (1/3)^2, ...
+    (["1/2", "1/3", "1/6"], F(1, 36)),
 ])
 def test_cut_set_compares_each_point_once(monkeypatch, ratios, t):
     """Many words share an exponent point; each point is compared with the
-    threshold once, and the cut-set is the brute-force one."""
+    threshold once, and the cut-set and its per-point counts are the
+    brute-force ones."""
     s = build_system(ratios)
+    if s.is_symbolic:
+        assert s.basis.values == (Monomial.generator("l"),)
     asked = []
     real = selfsimilar._ratio_below
 
@@ -262,9 +302,59 @@ def test_cut_set_compares_each_point_once(monkeypatch, ratios, t):
 
     monkeypatch.setattr(selfsimilar, "_ratio_below", counted)
     cs = cut_set(s, t)
-    assert cs.words == _brute_cut_words(s, t)
+    brute = _brute_cut_words(s, t)
+    assert cs.words == brute
     assert cs.exponents == tuple(s.word_exponent(w) for w in cs.words)
     assert len(asked) == len(set(asked)) < len(cs.words)
+    assert cut_multiset(s, t) == Counter(s.word_exponent(w) for w in brute)
+
+
+def test_cut_walk_refuses_huge_exp_threshold():
+    # k = 10^400 has no float: every point lies above e^{-k}, and the
+    # walk stops at its budget
+    s = build_system(["1/2", "1/3"])
+    t = ExpThreshold(10 ** 400)
+    with pytest.raises(ResourceLimit, match="cut-set exceeds 50 words"):
+        cut_set(s, t, word_budget=50)
+    with pytest.raises(ResourceLimit, match="cut-set point budget exceeded"):
+        cut_multiset(s, t, point_budget=100)
+
+
+def test_cut_set_refuses_before_building_words(monkeypatch):
+    # about 10^10 words at e^{-30}, on some 600 points: refused from the
+    # per-point counts, before any word is built (500000 words of some 30
+    # letters would take far more than 4 MB)
+    def no_words(*args):
+        raise AssertionError("a word was built")
+
+    s = build_system(["1/2", "1/3"])
+    monkeypatch.setattr(selfsimilar.ContractionSystem, "word_ratio", no_words)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="cut-set exceeds 500000 words"):
+            cut_set(s, ExpThreshold(30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+DEEP_CUT_SCRIPT = """
+from froblip import ExpThreshold, build_system, cut_set
+from froblip.errors import ResourceLimit
+try:
+    cut_set(build_system(["1/2", "1/3"]), ExpThreshold(10 ** 6), word_budget=100)
+except ResourceLimit as exc:
+    print(exc)
+"""
+
+
+def test_deep_cut_set_is_bounded():
+    # every point of the walk lies above e^{-10^6}; the walk stops past
+    # 2 * word_budget points
+    proc = subprocess.run([sys.executable, "-c", DEEP_CUT_SCRIPT], env=_env(),
+                          capture_output=True, text=True, timeout=20, check=True)
+    assert proc.stdout == "cut-set exceeds 100 words\n"
 
 
 def test_common_basis_numeric():
@@ -292,8 +382,6 @@ def test_matchable_equivalent_pair():
     assert rep.m0 <= 2
     assert rep.witness is not None
     # witness degrees within [1, m0] on both sides
-    from collections import Counter
-
     left = Counter(w for w, _ in rep.witness)
     right = Counter(w for _, w in rep.witness)
     cs_a = cut_set(a, ExpThreshold(F(4)))
@@ -373,13 +461,10 @@ print(json.dumps(match_report_to_json(rep)))
 
 
 def test_matchable_witness_independent_of_hash_seed():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(froblip.__file__)))
     outs = []
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-c", MATCH_SCRIPT], env=env,
+        proc = subprocess.run([sys.executable, "-c", MATCH_SCRIPT],
+                              env=_env(PYTHONHASHSEED=seed),
                               capture_output=True, text=True, timeout=120,
                               check=True)
         outs.append(proc.stdout)
