@@ -154,14 +154,6 @@ def cone_member(x: Sequence, c: Cone) -> bool:
     return c.violated(x) is None
 
 
-def cone_combination(x: Sequence, c: Cone) -> Optional[list]:
-    """Nonnegative rational coefficients writing x over the generators."""
-    if len(x) != c.dim:
-        raise DimensionMismatch("point and cone dimension differ")
-    A = [[Fraction(g[i]) for g in c.generators] for i in range(c.dim)]
-    return ratlp.feasible_nonneg(A, [Fraction(v) for v in x])
-
-
 def minimal_face(x: Sequence, c: Cone) -> tuple:
     """Indices of the generators on the smallest face of c containing x,
     which must lie in c: exactly the generators that carry positive weight

@@ -6,31 +6,28 @@ this order, and the first verdict wins: the invariant screen (common
 basis, dimension, rank, cone), the permutation fast path, the
 axis-counting refutation, the full-rank and two-branch deciders, the
 cardinality refutation, and the iteration identity P_e**p0 == P_f**q0,
-which decides every coplanar pair (see ``decide``).  Two rank-1 systems
-over one basis value or generator compare dimensions exactly, by the sign
-of a polynomial gcd at 0 and 1 (``_same_dimension_root``); other numeric
-pairs compare float dimensions.  ``decide`` loads no third-party library.
+which decides every coplanar pair (see ``decide``).  Dimensions refute
+only when a rational delta* certifiably lies between them (``_dimension``).
+``decide`` loads no third-party library.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .cones import cone_separation, coplanar_functional
 from .errors import IncompatibleSymbolicBases, ResourceLimit
 from .lattice import factor_integer, integer_rank, reduce_to_pseudo_basis
-from .selfsimilar import ContractionSystem, ITERATION_BUDGET, common_basis, iterate
+from .selfsimilar import (ITERATION_BUDGET, ContractionSystem, _brackets, _root,
+                          common_basis, iterate)
 
 EQUIVALENT = "EQUIVALENT"
 NOT_EQUIVALENT = "NOT_EQUIVALENT"
 UNDECIDED = "UNDECIDED"
 
-DIMENSION_TOL = 1e-10
-# reduced degree up to which rank-1 dimensions are compared exactly; at
-# 500, random pairs of 2-30 exponents took up to 1.1 s (2-vCPU VM)
-DIMENSION_DEGREE_BUDGET = 500
 PERMUTATION_CERT_LIMIT = 10_000
 
 
@@ -45,16 +42,16 @@ class Verdict:
 @dataclass(frozen=True)
 class _Pair:
     """Facts about a pair, computed once.  ``e2``/``f2`` are ``e``/``f``
-    over one merged pseudo-basis; ``points_*`` their distinct exponent
-    points (a repeated point changes no rank, and a repeated row of
-    <eta, X_j> = 1 is the same equation)."""
+    over one merged pseudo-basis; ``points_*`` count their exponent points,
+    in first-seen order (a repeated point changes no rank, and a repeated
+    row of <eta, X_j> = 1 is the same equation)."""
 
     e: ContractionSystem
     f: ContractionSystem
     e2: ContractionSystem
     f2: ContractionSystem
-    points_e: tuple
-    points_f: tuple
+    points_e: Counter
+    points_f: Counter
     ranks: tuple
     same_ratios: bool
 
@@ -62,92 +59,54 @@ class _Pair:
 def _pair(e: ContractionSystem, f: ContractionSystem) -> _Pair:
     """Raises IncompatibleSymbolicBases when the bases cannot be merged."""
     _, e2, f2 = common_basis(e, f)
-    points_e = tuple(dict.fromkeys(e2.exponents))
-    points_f = tuple(dict.fromkeys(f2.exponents))
+    points_e, points_f = Counter(e2.exponents), Counter(f2.exponents)
     return _Pair(e, f, e2, f2, points_e, points_f,
-                 (integer_rank(points_e), integer_rank(points_f)),
+                 (integer_rank(list(points_e)), integer_rank(list(points_f))),
                  Counter(e.ratios) == Counter(f.ratios))
 
 
-def _dimension_polynomial(exponents, g: int) -> list:
-    """Coefficients of sum_j x**(a_j / g) - 1, lowest degree first."""
-    coeffs = [0] * (max(exponents) // g + 1)
-    coeffs[0] = -1
-    for a in exponents:
-        coeffs[a // g] += 1
-    return coeffs
-
-
-def _remainder(f: list, g: list) -> list:
-    """Primitive pseudo-remainder of f by g: integer coefficients, lowest
-    degree first, no trailing zeros ([] when g divides f).  Each step
-    scales f by lc(g) / gcd(lc(g), lc(f)), so the remainder is a nonzero
-    rational multiple of f mod g."""
-    r = list(f)
-    k = len(g) - 1
-    while len(r) > k:
-        d = math.gcd(g[-1], r[-1])
-        a, b = g[-1] // d, r[-1] // d
-        if a != 1:
-            r = [a * x for x in r]
-        for i, y in enumerate(g, len(r) - 1 - k):
-            r[i] -= b * y
-        while r and not r[-1]:
-            r.pop()
-    content = math.gcd(*r)
-    return [x // content for x in r] if content > 1 else r
-
-
-def _same_dimension_root(a, b) -> Optional[bool]:
-    """Whether sum_j x**a_j = 1 and sum_j x**b_j = 1 share their root in
-    (0, 1), for positive integer exponents a and b; None when the larger
-    exponent divided by gcd(a + b) exceeds DIMENSION_DEGREE_BUDGET.
-
-    A rank-1 system over the basis value (or generator) t has ratios
-    t**a_j, and sum_j t**(a_j delta) = 1 says that x = t**delta is the
-    root, so two systems over one basis have equal dimensions iff their
-    roots agree.  Each P(x) = sum_j x**a_j - 1 has one sign change, so by
-    Descartes exactly one positive root, and it is simple; P(0) = -1 and
-    P(1) = m - 1 > 0 put it in (0, 1).  Dividing every exponent by
-    d = gcd(a + b) substitutes y = x**d, which maps (0, 1) onto itself,
-    so the two roots stay equal or stay apart.  A gcd G of the reduced
-    P_a and P_b divides both, so G is nonzero at 0 and 1 and has at most
-    one root in (0, 1), a simple one, and any such root is both
-    polynomials' root: the roots agree iff G(0) * G(1) < 0.  Euclid with
-    primitive pseudo-remainders gives G up to a nonzero constant, which
-    leaves that sign alone.  The cost grows with the cube of the reduced
-    degree in the worst case, hence the budget.
-    """
-    d = math.gcd(*a, *b)
-    if max(*a, *b) // d > DIMENSION_DEGREE_BUDGET:
-        return None
-    f, g = _dimension_polynomial(a, d), _dimension_polynomial(b, d)
-    while g:
-        f, g = g, _remainder(f, g)
-    return f[0] * sum(f) < 0
-
-
 def _dimension(pair: _Pair) -> Optional[Verdict]:
-    """NOT_EQUIVALENT ``dimension`` when the two dimensions differ.
+    """NOT_EQUIVALENT ``dimension`` when a rational delta* certifiably lies
+    between the two dimensions: F(delta) = sum_z m(z) b**(delta z) - 1 over
+    a side's points z with multiplicities m(z) decreases through 0 at its
+    dimension, and decimal brackets give F(delta*) opposite signs on the
+    two sides.  The certificate holds both float roots and delta*.
 
-    Two rank-1 systems over one basis value or generator are compared
-    exactly by ``_same_dimension_root``.  Other numeric pairs, and rank-1
-    numeric pairs past its budget, compare their float dimensions to
-    DIMENSION_TOL; other symbolic pairs pass.
+    The float roots only place delta*, at the shortest decimal between
+    them; equal floats, agreeing signs and signs still open at DIGITS_CAP
+    digits (delta* may be a rational root) pass the pair on.  Numeric
+    pairs use the merged basis b.  A symbolic pair whose points span rank
+    1 takes every generator as 1/2: its ratios are then powers t**a_z of
+    one t in (0, 1), and x = t**delta, the root of sum_z x**a_z = 1, orders
+    the dimensions alike for every t.  Other symbolic pairs pass, as do
+    exponents past the float range.
     """
-    e, f = pair.e, pair.f
-    same = None
-    if e.dim == 1 and f.dim == 1 and e.basis == f.basis:
-        same = _same_dimension_root([a for a, in e.exponents],
-                                    [b for b, in f.exponents])
-    if same is None and e.delta is not None:
-        same = abs(e.delta - f.delta) <= DIMENSION_TOL
-    if same is not False:
+    e, f = pair.e2, pair.f2
+    if e.is_symbolic:
+        if integer_rank([*pair.points_e, *pair.points_f]) != 1:
+            return None
+        values = (Fraction(1, 2),) * e.dim
+        try:
+            roots = [_root([-sum(z) * math.log(2) for z in side.exponents])
+                     for side in (e, f)]
+        except OverflowError:
+            return None
+    else:
+        values, roots = e.basis.values, [e.delta, f.delta]
+    lo, hi = sorted(roots)
+    if lo == hi:
         return None
-    values = ["distinct dimension-equation roots"] if e.delta is None \
-        else [e.delta, f.delta]
+    delta = next((x for x in (Fraction(f"{(lo + hi) / 2:.{n}g}") for n in range(1, 18))
+                  if lo < x < hi), (Fraction(lo) + Fraction(hi)) / 2)
+    for br in _brackets(values):
+        signs = [br.sign(points, delta) for points in (pair.points_e, pair.points_f)]
+        if 0 not in signs:
+            break
+    if signs[0] * signs[1] != -1:
+        return None
     return Verdict(NOT_EQUIVALENT, "dimension",
-                   {"invariant": "dimension", "values": values})
+                   {"invariant": "dimension", "values": roots,
+                    "delta_star": f"{delta.numerator}/{delta.denominator}"})
 
 
 def _screen(e: ContractionSystem, f: ContractionSystem):
@@ -181,7 +140,9 @@ def screen_invariants(e: ContractionSystem,
 
     Checks, in order: a common pseudo-basis (UNDECIDED without one),
     Hausdorff dimension (see ``_dimension``), rank and cone equality.
-    Returns None when all pass.  A cone refutation's certificate holds
+    Returns None when all pass.  A dimension refutation's certificate
+    holds a rational ``delta_star`` ("p/q") strictly between the two
+    dimensions.  A cone refutation's certificate holds
     both sides' exponent vectors in ``values`` and a separating integer
     functional in ``functional``: ``{"side": i, "y": y, "point": j}``
     with ``y . X >= 0`` for every X in ``values[i]`` and
@@ -363,8 +324,8 @@ def decide(e: ContractionSystem, f: ContractionSystem,
         verdict = stage(pair)
         if verdict is not None:
             return verdict
-    coplanar = coplanar_functional(pair.points_e).present and \
-        coplanar_functional(pair.points_f).present
+    coplanar = coplanar_functional(list(pair.points_e)).present and \
+        coplanar_functional(list(pair.points_f)).present
     orders = iteration_orders(e.m, f.m)
     if orders is None:
         if coplanar:
@@ -374,8 +335,7 @@ def decide(e: ContractionSystem, f: ContractionSystem,
     else:
         p, q = orders
         try:
-            holds = _power(Counter(pair.e2.exponents), p) == \
-                _power(Counter(pair.f2.exponents), q)
+            holds = _power(pair.points_e, p) == _power(pair.points_f, q)
         except ResourceLimit:
             return Verdict(UNDECIDED, "SEARCH_BOUND",
                            {"p": p, "q": q, "budget": ITERATION_BUDGET})

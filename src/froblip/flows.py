@@ -55,9 +55,10 @@ def degree_constrained_relation(left_counts: dict, right_counts: dict,
                                 allowed, m0: int) -> Optional[dict]:
     """Aggregated feasibility of a [1, m0]-degree relation between groups.
 
-    ``left_counts``/``right_counts`` map group keys to word counts;
-    ``allowed(z, w)`` says whether words of the two groups may be related.
-    Returns the pair-count matrix {(z, w): pairs} when feasible, else None.
+    ``left_counts``/``right_counts`` map group keys to word counts (1 per
+    key for single words); ``allowed(z, w)`` says whether words of the two
+    groups may be related.  Returns the pair-count matrix {(z, w): pairs}
+    when feasible, else None.
     """
     lefts = sorted(left_counts)
     rights = sorted(right_counts)
@@ -69,11 +70,9 @@ def degree_constrained_relation(left_counts: dict, right_counts: dict,
     for w in rights:
         d = right_counts[w]
         arcs.append((("R", w), "_T", d, m0 * d))
-    any_edge = {z: False for z in lefts}
     for z in lefts:
         for w in rights:
             if allowed(z, w):
-                any_edge[z] = True
                 arcs.append((("L", z), ("R", w),
                              0, left_counts[z] * right_counts[w]))
     arcs.append(("_T", "_S", 0, _INF))
@@ -86,25 +85,3 @@ def degree_constrained_relation(left_counts: dict, right_counts: dict,
             pairs[(u[1], v[1])] = f
     return pairs
 
-
-def word_level_relation(n_left: int, n_right: int, edges, m0: int):
-    """Explicit witness relation on words, degrees in [1, m0] both sides.
-
-    ``edges`` is an iterable of (i, j) admissible word pairs.  Returns a
-    sorted list of pairs or None.  Intended for small cut-sets only.
-    """
-    nodes = ["_S", "_T"] + [("L", i) for i in range(n_left)] + [
-        ("R", j) for j in range(n_right)
-    ]
-    arcs = [("_S", ("L", i), 1, m0) for i in range(n_left)]
-    arcs += [(("R", j), "_T", 1, m0) for j in range(n_right)]
-    arcs += [(("L", i), ("R", j), 0, 1) for i, j in sorted(set(edges))]
-    arcs.append(("_T", "_S", 0, _INF))
-    sol = _circulation_feasible(nodes, arcs)
-    if sol is None:
-        return None
-    return sorted(
-        (u[1], v[1])
-        for (u, v), f in sol.items()
-        if isinstance(u, tuple) and u[0] == "L" and isinstance(v, tuple) and f > 0
-    )

@@ -106,13 +106,6 @@ def lp_max(c: Sequence, A: Sequence[Sequence], b: Sequence):
     return OPTIMAL, x, value
 
 
-def feasible_nonneg(A: Sequence[Sequence], b: Sequence) -> Optional[list]:
-    """Some x >= 0 with A x = b, or None if none exists."""
-    n = len(A[0]) if A else 0
-    status, x, _ = lp_max([Fraction(0)] * n, A, b)
-    return x if status == OPTIMAL else None
-
-
 def solve_linear(M: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
     """Any exact solution of M y = rhs over the rationals, or None.
 

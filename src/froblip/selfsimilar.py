@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+import decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -39,6 +40,7 @@ K_CAP = Fraction(2 ** 1000)  # stands in for a larger k (no float) in the float 
 DEFAULT_WORD_BUDGET = 500_000
 ITERATION_BUDGET = 10 ** 6
 WITNESS_BUDGET = 2000  # words per cut-set up to which matchable builds a witness
+DIGITS_CAP = 320  # decimal digits past which a bracket that may straddle a tie stops
 
 
 @dataclass(frozen=True)
@@ -99,42 +101,89 @@ class ContractionSystem:
         return Cone(tuple(self.exponents))
 
 
-def hausdorff_dimension(ratios: Sequence[Fraction]) -> float:
-    """Unique delta > 0 with sum ratios**delta == 1, to |residual| <= 1e-13.
+class _Brackets:
+    """Outward-rounded decimal arithmetic at one precision, with one bracket
+    (lo, hi) around -ln v = ln(1/v) for each rational value v in (0, 1).
 
-    A ratio whose float underflows to 0 enters as exp(delta * log r), with
-    log r taken from its numerator and denominator."""
+    ``decimal``'s ln and exp are correctly rounded, so widening each result
+    by one unit in the last place brackets the true value; every other
+    operation rounds down for a lower bound and up for an upper bound.
+    """
+
+    def __init__(self, values, digits: int):
+        self.near, self.down, self.up = (
+            decimal.Context(prec=digits, rounding=r, Emax=decimal.MAX_EMAX,
+                            Emin=decimal.MIN_EMIN)
+            for r in (decimal.ROUND_HALF_EVEN, decimal.ROUND_FLOOR,
+                      decimal.ROUND_CEILING))
+        n = self.near
+        self.logs = [(n.next_minus(n.ln(self.down.divide(v.denominator, v.numerator))),
+                      n.next_plus(n.ln(self.up.divide(v.denominator, v.numerator))))
+                     for v in values]
+
+    def score(self, exponent) -> tuple:
+        """(lo, hi) around the score -ln(values**exponent)."""
+        lo = hi = decimal.Decimal(0)
+        for e, (a, b) in zip(exponent, self.logs):
+            lo = self.down.fma(e, a if e >= 0 else b, lo)
+            hi = self.up.fma(e, b if e >= 0 else a, hi)
+        return lo, hi
+
+    def sign(self, points, x: Fraction) -> int:
+        """The sign of sum_z m(z) e^(-x s_z) - 1, for a rational x > 0, over
+        the points z with multiplicities m(z) and scores s_z; 0 when the
+        bracket holds 0."""
+        n, p, q = self.near, x.numerator, x.denominator
+        lo = hi = decimal.Decimal(-1)
+        for z, m in points.items():
+            s_lo, s_hi = self.score(z)
+            xs_lo = self.down.divide(self.down.multiply(p, s_lo), q)
+            xs_hi = self.up.divide(self.up.multiply(p, s_hi), q)
+            lo = self.down.fma(m, n.next_minus(n.exp(xs_hi.copy_negate())), lo)
+            hi = self.up.fma(m, n.next_plus(n.exp(xs_lo.copy_negate())), hi)
+        return (lo > 0) - (hi < 0)
+
+
+def _brackets(values, cap: Optional[int] = DIGITS_CAP):
+    """_Brackets for the values at 24 digits, then twice as many each time,
+    ending at ``cap`` digits (never when ``cap`` is None)."""
+    digits = 24
+    while cap is None or digits < cap:
+        yield _Brackets(values, digits)
+        digits *= 2
+    yield _Brackets(values, cap)
+
+
+def _root(logs: Sequence[float]) -> float:
+    """Unique delta > 0 with sum_j exp(delta * logs_j) == 1, for logs < 0.
+
+    The largest term enters as expm1, so that a term near 1 keeps its
+    distance from 1.  The left side is convex and decreasing in delta, so
+    Newton's steps from 0 rise to the root; they stop when they stop
+    rising."""
+    top = max(range(len(logs)), key=logs.__getitem__)
+    if logs[top] == 0:
+        raise FroblipError("a ratio is too close to 1 for a float dimension")
+    rest = logs[:top] + logs[top + 1:]
+    d = 0.0
+    while True:
+        f = math.expm1(d * logs[top]) + math.fsum(math.exp(d * lg) for lg in rest)
+        nxt = d - f / math.fsum(math.exp(d * lg) * lg for lg in logs)
+        if not nxt > d:
+            return d
+        d = nxt
+
+
+def hausdorff_dimension(ratios: Sequence[Fraction]) -> float:
+    """Unique delta > 0 with sum ratios**delta == 1, as a float.
+
+    log r comes from the exact 1 - r (log1p) for r > 1/2, else from r's
+    numerator and denominator, so that ratios near 1 and ratios whose
+    floats underflow keep their digits; see ``_root``."""
     if len(ratios) < 2 or any(not 0 < r < 1 for r in ratios):
         raise FroblipError("need m >= 2 ratios in (0,1)")
-    rs = [float(r) for r in ratios]
-    logs = [math.log(r) if r else math.log(q.numerator) - math.log(q.denominator)
-            for r, q in zip(rs, ratios)]
-
-    def powers(d):
-        return [r ** d if r else math.exp(d * lg) for r, lg in zip(rs, logs)]
-
-    def f(d):
-        return sum(powers(d)) - 1.0
-
-    lo, hi = 0.0, 1.0
-    while f(hi) > 0:
-        hi *= 2
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
-    d = (lo + hi) / 2
-    for _ in range(5):  # Newton polish
-        fd = f(d)
-        dfd = sum(p * lg for p, lg in zip(powers(d), logs))
-        if dfd == 0:
-            break
-        d -= fd / dfd
-    return d
+    return _root([math.log1p(-float(1 - r)) if 2 * r > 1 else
+                  math.log(r.numerator) - math.log(r.denominator) for r in ratios])
 
 
 def _parse_ratio_value(spec):
@@ -206,27 +255,15 @@ def iterate(system: ContractionSystem, p: int,
                              system.delta, system.alpha)
 
 
-def _exceeds_exp(q: Fraction, k: Fraction) -> bool:
-    """Whether q > e^k, for rationals q and k > 0: e^k is irrational
-    (Lindemann-Weierstrass), so q leaves some bracket lo <= e^k 2^prec <= hi.
-    Each squares j times one of e^x, x = k / 2^j <= 1/2, whose n Taylor terms
-    rounded down (the last one 0) sum to less than 2n + 2 units too low."""
-    j = math.ceil(k).bit_length() + 1
-    prec = 64 + j
-    while True:
-        term = lo = 1 << prec
-        n = 0
-        while term:
-            n += 1
-            term = term * k.numerator // (k.denominator * n << j)
-            lo += term
-        hi = lo + 2 * n + 2
-        for _ in range(j):
-            lo, hi = (lo * lo) >> prec, -((-hi * hi) >> prec)
-        side = q.numerator << prec
-        if not q.denominator * lo < side < q.denominator * hi:
-            return side >= q.denominator * hi
-        prec *= 2
+def _exceeds_exp(values, exponent, k: Fraction) -> bool:
+    """Whether values**exponent < e^{-k}, for rational values and k > 0.
+
+    Its score -ln(values**exponent) is irrational (Lindemann-Weierstrass)
+    unless it is 0, so some bracket of the score leaves k."""
+    for br in _brackets(values, None):
+        lo, hi = br.score(exponent)
+        if lo > k or hi < k:
+            return lo > k
 
 
 def _ratio_below(system: ContractionSystem, exponent, t: Threshold) -> bool:
@@ -240,13 +277,9 @@ def _ratio_below(system: ContractionSystem, exponent, t: Threshold) -> bool:
         if not system.is_symbolic or system.dim != 1:
             raise FroblipError("monomial thresholds need a symbolic rank-1 system")
         base = system.basis.values[0]
-        d = t.as_dict()
-        bd = base.as_dict()
-        if set(d) != set(bd):
-            raise BasisMismatch(f"threshold {t} not a power of {base}")
-        (g, e), = d.items()
-        level, rem = divmod(e, bd[g])
-        if rem != 0:
+        g, e = base.powers[0]
+        level, rem = divmod(t.as_dict().get(g, 0), e)
+        if rem or base ** level != t:
             raise BasisMismatch(f"threshold {t} not a power of {base}")
         return exponent[0] >= level
     if isinstance(t, ExpThreshold):
@@ -262,7 +295,7 @@ def _ratio_below(system: ContractionSystem, exponent, t: Threshold) -> bool:
                                        for e, v in zip(exponent, basis.values)))
         if abs(score - kf) > margin and (score < kf or t.k < K_CAP):
             return score > kf
-        return _exceeds_exp(1 / basis.eval_exact(exponent), t.k)
+        return _exceeds_exp(basis.values, exponent, t.k)
     raise FroblipError(f"unsupported threshold {t!r}")
 
 
@@ -387,16 +420,13 @@ def _matcher(e: ContractionSystem, f: ContractionSystem, t: Threshold,
         if small:
             cs_e = cut_set(e2, t)
             cs_f = cut_set(f2, t)
-            edges = [
-                (i, j)
-                for i, ze in enumerate(cs_e.exponents)
-                for j, zf in enumerate(cs_f.exponents)
-                if allowed(ze, zf)
-            ]
-            rel = flows.word_level_relation(len(cs_e.words), len(cs_f.words),
-                                            edges, m0)
+            rel = flows.degree_constrained_relation(
+                dict.fromkeys(range(len(cs_e.words)), 1),
+                dict.fromkeys(range(len(cs_f.words)), 1),
+                lambda i, j: allowed(cs_e.exponents[i], cs_f.exponents[j]), m0)
             if rel is not None:
-                witness = tuple((cs_e.words[i], cs_f.words[j]) for i, j in rel)
+                witness = tuple((cs_e.words[i], cs_f.words[j])
+                                for i, j in sorted(rel))
         return MatchReport(True, m0, sum(pairs.values()), witness)
 
     return match

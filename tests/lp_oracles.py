@@ -7,11 +7,18 @@ from fractions import Fraction
 from froblip import ratlp
 
 
+def feasible_nonneg(A, b):
+    """Some x >= 0 with A x = b, or None if none exists."""
+    n = len(A[0]) if A else 0
+    status, x, _ = ratlp.lp_max([Fraction(0)] * n, A, b)
+    return x if status == ratlp.OPTIMAL else None
+
+
 def lp_cone_member(x, generators):
     """Is x a nonnegative combination of the generators?"""
     s = len(x)
     A = [[Fraction(g[i]) for g in generators] for i in range(s)]
-    return ratlp.feasible_nonneg(A, [Fraction(v) for v in x]) is not None
+    return feasible_nonneg(A, [Fraction(v) for v in x]) is not None
 
 
 def lp_cone_equal(a, b):
@@ -30,7 +37,7 @@ def _hull_rows(vectors):
 def lp_hull_member(vectors, target):
     """Is target a convex combination of the vectors?"""
     b = [Fraction(t) for t in target] + [Fraction(1)]
-    return ratlp.feasible_nonneg(_hull_rows(vectors), b) is not None
+    return feasible_nonneg(_hull_rows(vectors), b) is not None
 
 
 def lp_minimal_face(vectors, target):

