@@ -189,7 +189,8 @@ def _two_branch(pair: _Pair) -> Optional[Verdict]:
 
 
 def _primitive_root(n: int):
-    """(root, exponent) with n == root**exponent and root not a perfect power."""
+    """(root, exponent) with n == root**exponent and root not a perfect power,
+    for every n: no two factor_integer factors share a prime, none is a power."""
     fac = factor_integer(n)
     g = math.gcd(*fac.values())
     return math.prod(p ** (exp // g) for p, exp in fac.items()), g

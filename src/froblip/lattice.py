@@ -3,8 +3,8 @@
 A ratio in (0,1) is represented as an integer exponent vector over a
 pseudo-basis: a tuple of values in (0,1) (exact rationals, or formal named
 generators for symbolic systems) such that every ratio is a monomial in the
-basis.  All linear algebra here is exact integer arithmetic.  Integers are
-factored by trial division below 2^16, and by sympy only beyond its reach.
+basis.  All linear algebra here is exact integer arithmetic.  A numeric
+basis holds the reciprocals of an independent coprime base: ``coprime_base``.
 """
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ from typing import Sequence, Union
 
 from .errors import DimensionMismatch, FroblipError, ParseError
 
-Vec = tuple  # tuple of ints
-TRIAL_LIMIT = 2 ** 16  # trial divisors; a cofactor below TRIAL_LIMIT**2 is prime
+TRIAL_LIMIT = 2 ** 16  # trial division tries the divisors below this
 
 
 @dataclass(frozen=True)
@@ -120,48 +119,79 @@ def parse_rational(text: str) -> Fraction:
     return r
 
 
-def factor_integer(n: int) -> dict:
-    """{prime: exponent} of a positive integer, primes ascending."""
-    if n < 1:
-        raise FroblipError(f"cannot factor {n}")
-    out, d = {}, 2
-    while d < TRIAL_LIMIT and d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if 1 < n < d * d:  # no prime factor below d, so n is prime
-        out[n] = 1
-    elif n > 1:
-        import sympy
+def _least_root(b: int) -> int:
+    """The r with b == r**k for the largest k, for b prime or free of primes
+    below TRIAL_LIMIT, so r > TRIAL_LIMIT.  After b = r no smaller k can
+    succeed, as b was no such power before."""
+    k = 2
+    while TRIAL_LIMIT ** k <= b:
+        r = 1 << -(-b.bit_length() // k)  # Newton falls from above the root
+        while (s := ((k - 1) * r + b // r ** (k - 1)) // k) < r:
+            r = s
+        b, k = (r, k) if r ** k == b else (b, k + 1)
+    return b
 
-        out.update((int(p), int(e)) for p, e in sorted(sympy.factorint(n).items()))
-    return out
+
+def coprime_base(numbers: Sequence[int]) -> list:
+    """Ascending pairwise-coprime integers > 1, none a perfect power, such
+    that every number is a product of their powers.  A prime divides at most
+    one of them, so they are multiplicatively independent.  Trial division
+    takes out the primes below TRIAL_LIMIT; a cofactor left is one of them or
+    coprime to them.  Factor refinement (Bach, Driscoll and Shallit, 1993)
+    turns two cofactors with gcd g > 1 into g and both quotients, until no
+    two share a factor; each is then replaced by its least root."""
+    primes, cofactors, coprime = set(), [], []
+    for n in numbers:
+        if n < 1:
+            raise FroblipError(f"cannot factor {n}")
+        d = 2
+        while d < TRIAL_LIMIT and d * d <= n:
+            while n % d == 0:
+                primes.add(d)
+                n //= d
+            d += 1 if d == 2 else 2
+        if n > 1:
+            cofactors.append(n)
+    while cofactors:
+        x = cofactors.pop()
+        for i, b in enumerate(coprime):
+            if (g := math.gcd(x, b)) > 1:
+                del coprime[i]
+                cofactors += [c for c in (g, b // g, x // g) if c > 1]
+                break
+        else:
+            coprime.append(x)
+    return sorted(primes.union(map(_least_root, coprime)))
+
+
+def _valuation(n: int, b: int) -> int:
+    e = 0
+    while n % b == 0:
+        n, e = n // b, e + 1
+    return e
+
+
+def factor_integer(n: int) -> dict:
+    """{b: exponent} of a positive integer over ``coprime_base([n])``."""
+    return {b: _valuation(n, b) for b in coprime_base([n])}
 
 
 def factor_rationals(ratios: Sequence[Fraction]):
-    """Factor exact rational ratios over the reciprocal-prime basis.
+    """Factor exact rational ratios over one reciprocal coprime base.
 
-    Returns ``(PseudoBasis, vectors)`` with basis (1/p_1,...,1/p_s) over the
-    ascending primes dividing any numerator or denominator, and for each
+    Returns ``(PseudoBasis, vectors)`` with basis (1/b_1,...,1/b_s) over
+    the ``coprime_base`` of all numerators and denominators, and for each
     ratio its exponent vector x with ratio == basis**x exactly.  The
-    exponent at prime p is -v_p(ratio), so coordinates may be negative.
+    exponent at b is -v_b(ratio), so coordinates may be negative.
     """
     ratios = [Fraction(r) for r in ratios]
     for r in ratios:
         if not (0 < r < 1):
             raise FroblipError(f"ratio {r} outside (0,1)")
-    factorizations = []
-    primes = set()
-    for r in ratios:
-        f = factor_integer(r.numerator)
-        for p, e in factor_integer(r.denominator).items():
-            f[p] = -e
-        primes.update(f)
-        factorizations.append(f)
-    plist = sorted(primes)
-    basis = PseudoBasis(tuple(Fraction(1, p) for p in plist))
-    vectors = [tuple(-f.get(p, 0) for p in plist) for f in factorizations]
+    base = coprime_base([n for r in ratios for n in (r.numerator, r.denominator)])
+    basis = PseudoBasis(tuple(Fraction(1, b) for b in base))
+    vectors = [tuple(_valuation(r.denominator, b) - _valuation(r.numerator, b)
+                     for b in base) for r in ratios]
     return basis, vectors
 
 

@@ -198,11 +198,24 @@ def _parse_ratio_value(spec):
     raise FroblipError(f"unsupported ratio spec {spec!r}")
 
 
+def _generators(values) -> list:
+    return sorted({g for v in values for g in v.generators})
+
+
+def _coordinates(values):
+    """(basis, vectors) over the reciprocal coprime base or the generators."""
+    if not isinstance(values[0], Monomial):
+        return factor_rationals(values)
+    gens = _generators(values)
+    basis = PseudoBasis(tuple(Monomial.generator(g) for g in gens))
+    return basis, [tuple(v.as_dict().get(g, 0) for g in gens) for v in values]
+
+
 def build_system(ratios: Sequence) -> ContractionSystem:
     """Assemble a contraction system from exact ratio specs.
 
-    Rational ratios are factored over reciprocal primes; monomial ratios
-    use their named generators.  The basis is then reduced to the exact
+    Rational ratios are factored over a reciprocal coprime base; monomial
+    ratios use their named generators.  The basis is then reduced to the exact
     rank of the ratio group, a rational half-space certificate is computed,
     and (numeric case) the Hausdorff dimension is solved.
     """
@@ -213,22 +226,14 @@ def build_system(ratios: Sequence) -> ContractionSystem:
     if len(kinds) > 1:
         raise FroblipError("cannot mix rational and symbolic ratios")
     if kinds == {True}:
-        gens = sorted({g for v in values for g in v.generators})
         for v in values:
             d = v.as_dict()
             if not d or any(e < 0 for e in d.values()):
                 raise FroblipError(
                     f"monomial ratio {v} must have nonnegative, not all zero exponents"
                 )
-        basis = PseudoBasis(tuple(Monomial.generator(g) for g in gens))
-        vectors = [tuple(v.as_dict().get(g, 0) for g in gens) for v in values]
-        delta = None
-    else:
-        for v in values:
-            if not 0 < v < 1:
-                raise FroblipError(f"ratio {v} outside (0,1)")
-        basis, vectors = factor_rationals(values)
-        delta = hausdorff_dimension(values)
+    basis, vectors = _coordinates(values)
+    delta = None if kinds == {True} else hausdorff_dimension(values)
     basis, vectors = reduce_to_pseudo_basis(basis, vectors)
     alpha = half_space_certificate(Cone(tuple(vectors))).alpha
     return ContractionSystem(tuple(values), basis, tuple(vectors), delta, alpha)
@@ -361,27 +366,20 @@ def a_k_set(system: ContractionSystem, k) -> dict:
 def common_basis(a: ContractionSystem, b: ContractionSystem):
     """Re-express two systems over one merged pseudo-basis.
 
-    Numeric systems merge their reciprocal-prime bases (union of primes,
-    exponents re-derived from the ratios); symbolic systems must share the
+    Numeric systems get the reciprocal coprime base of all their ratios,
+    exponents re-derived from the ratios; symbolic systems must share the
     same named generators.
     """
     if a.is_symbolic != b.is_symbolic:
         raise IncompatibleSymbolicBases(
             "cannot merge numeric and symbolic systems"
         )
-    if not a.is_symbolic:
-        basis, vectors = factor_rationals(list(a.ratios) + list(b.ratios))
-        va, vb = vectors[: a.m], vectors[a.m:]
-    else:
-        gens_a = sorted({g for v in a.ratios for g in v.generators})
-        gens_b = sorted({g for v in b.ratios for g in v.generators})
-        if gens_a != gens_b:
-            raise IncompatibleSymbolicBases(
-                f"generators {gens_a} vs {gens_b} have no known relation"
-            )
-        basis = PseudoBasis(tuple(Monomial.generator(g) for g in gens_a))
-        va = [tuple(v.as_dict().get(g, 0) for g in gens_a) for v in a.ratios]
-        vb = [tuple(v.as_dict().get(g, 0) for g in gens_a) for v in b.ratios]
+    gens = [_generators(s.ratios) for s in (a, b) if s.is_symbolic]
+    if gens and gens[0] != gens[1]:
+        raise IncompatibleSymbolicBases(
+            f"generators {gens[0]} vs {gens[1]} have no known relation")
+    basis, vectors = _coordinates(a.ratios + b.ratios)
+    va, vb = vectors[: a.m], vectors[a.m:]
     alpha = half_space_certificate(Cone(tuple(va) + tuple(vb))).alpha
     a2 = ContractionSystem(a.ratios, basis, tuple(va), a.delta, alpha)
     b2 = ContractionSystem(b.ratios, basis, tuple(vb), b.delta, alpha)

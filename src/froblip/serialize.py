@@ -8,7 +8,8 @@ from typing import Optional, Sequence
 from .equivalence import Verdict
 from .errors import ParseError
 from .lattice import Monomial, parse_rational
-from .selfsimilar import ContractionSystem, CutSet, MatchReport, build_system
+from .selfsimilar import (ContractionSystem, CutSet, MatchReport, _coordinates,
+                          build_system)
 
 VERSION = "0.1.0"
 CSV_HEADER = f"# frobenius-lipschitz v{VERSION}"
@@ -18,21 +19,41 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
+def _json_list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{field} must be a JSON list, not {json.dumps(value)}")
+    return value
+
+
 def ratios_from_json(doc: dict):
     """Decode the ratio-list input schema.
 
     Either ``{"rationals": ["1/2", "1/3"]}`` or
-    ``{"generators": ["a", "b"], "monomials": [[1,0],[0,1]]}``.
+    ``{"generators": ["a", "b"], "monomials": [[1,0],[0,1]]}``: rationals
+    are strings, generators distinct non-empty strings, and exponents
+    integers.  Anything else raises ParseError naming the field.
     """
     if "rationals" in doc:
-        return [parse_rational(t) for t in doc["rationals"]]
+        texts = _json_list(doc["rationals"], "'rationals'")
+        for t in texts:
+            if not isinstance(t, str):
+                raise ParseError(f"'rationals' entry {json.dumps(t)} is not a string")
+        return [parse_rational(t) for t in texts]
     if "generators" in doc and "monomials" in doc:
-        gens = list(doc["generators"])
+        gens = _json_list(doc["generators"], "'generators'")
+        if not all(isinstance(g, str) and g for g in gens) \
+                or len(set(gens)) < len(gens):
+            raise ParseError(f"'generators' {json.dumps(gens)} are not distinct "
+                             "non-empty strings")
         out = []
-        for exps in doc["monomials"]:
-            if len(exps) != len(gens):
-                raise ParseError("monomial exponent length mismatch")
-            out.append(Monomial.make(dict(zip(gens, map(int, exps)))))
+        for exps in _json_list(doc["monomials"], "'monomials'"):
+            if len(_json_list(exps, "a 'monomials' row")) != len(gens):
+                raise ParseError(f"'monomials' row {json.dumps(exps)} does not have "
+                                 f"one exponent per generator of {json.dumps(gens)}")
+            if not all(type(e) is int for e in exps):
+                raise ParseError(f"'monomials' row {json.dumps(exps)} has a "
+                                 "non-integer exponent")
+            out.append(Monomial.make(dict(zip(gens, exps))))
         return out
     raise ParseError("expected 'rationals' or 'generators'+'monomials'")
 
@@ -48,7 +69,7 @@ def load_system(path: str) -> ContractionSystem:
         raise ParseError(f"{path}: expected a JSON object")
     if "input" in doc:
         doc = doc["input"]
-    if "rationals" in doc or "monomials" in doc:
+    if isinstance(doc, dict) and ("rationals" in doc or "monomials" in doc):
         return build_system(ratios_from_json(doc))
     raise ParseError(f"{path}: unrecognized system document")
 
@@ -57,12 +78,9 @@ def ratio_input_doc(system: ContractionSystem) -> dict:
     """Canonical ratio-list document reproducing the system on reload."""
     if not system.is_symbolic:
         return {"rationals": [_frac_str(r) for r in system.ratios]}
-    gens = sorted({g for r in system.ratios for g in r.generators})
-    return {
-        "generators": gens,
-        "monomials": [[r.as_dict().get(g, 0) for g in gens]
-                      for r in system.ratios],
-    }
+    basis, vectors = _coordinates(system.ratios)
+    return {"generators": [str(g) for g in basis.values],
+            "monomials": [list(v) for v in vectors]}
 
 
 def system_to_json(system: ContractionSystem) -> dict:

@@ -1,8 +1,11 @@
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -366,6 +369,12 @@ def test_gamma_nonconverged_exit_4(tmp_path, capsys, monkeypatch):
 
 
 HEAVY = ("mpmath", "networkx", "numpy", "sympy")
+MERSENNE = [f"1/{2 ** 61 - 1}", "1/2"]
+
+
+def second_iteration(texts):
+    ratios = [Fraction(t) for t in texts]
+    return [str(a * b) for a, b in itertools.product(ratios, repeat=2)]
 GUARD = (
     "import sys\n"
     "import froblip, froblip.cli\n"
@@ -387,9 +396,12 @@ GUARD = (
     (["cutset", "{half}", "--exp-k", "3"], 0, HEAVY),
     (["matchable", "{half}", "{quarters}", "--exp-k", "3", "--search"], 0,
      ("mpmath", "numpy", "sympy")),
+    (["build", "{mersenne}"], 0, HEAVY),
+    (["decide", "{mersenne}", "{mersenne2}"], 0, HEAVY),
 ], ids=["import", "build", "decide", "decide-refuted", "decide-rank1-symbolic",
         "cutset-t", "multiplicity", "gamma", "decide-diagnostics",
-        "cutset-exp-k", "matchable-exp-k"])
+        "cutset-exp-k", "matchable-exp-k", "build-large-prime",
+        "decide-large-prime"])
 def test_commands_import_only_what_they_call(tmp_path, half, quarters,
                                              argv, rc, banned):
     paths = {"half": half, "quarters": quarters,
@@ -403,7 +415,11 @@ def test_commands_import_only_what_they_call(tmp_path, half, quarters,
              "uv": write(tmp_path, "uv.json", {"generators": ["u", "v"],
                          "monomials": [[1, 0], [0, 1], [1, 1]]}),
              "uuv": write(tmp_path, "uuv.json", {"generators": ["u", "v"],
-                          "monomials": [[1, 0], [0, 1], [2, 1]]})}
+                          "monomials": [[1, 0], [0, 1], [2, 1]]}),
+             # a prime cofactor far beyond trial division, and the 2nd iteration
+             "mersenne": write(tmp_path, "m.json", {"rationals": MERSENNE}),
+             "mersenne2": write(tmp_path, "m2.json",
+                                {"rationals": second_iteration(MERSENNE)})}
     argv = [a.format(**paths) for a in argv]
     if argv:
         argv += ["-o", str(tmp_path / "out")]
@@ -420,3 +436,74 @@ def test_frobenius1d_large_pair_is_fast(capsys):
     assert main(["frobenius1d", "99999", "100000"]) == 0
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().out == f"{99999 * 100000 - 99999 - 100000}\n"
+
+
+MALFORMED_INPUTS = {
+    "float-exponent": ({"generators": ["u", "v"], "monomials": [[1.5, 0], [0, 1]]},
+                       "'monomials'"),
+    "bool-exponent": ({"generators": ["u", "v"], "monomials": [[True, 0], [0, 1]]},
+                      "'monomials'"),
+    "string-exponent": ({"generators": ["u", "v"], "monomials": [["a", 0], [0, 1]]},
+                        "'monomials'"),
+    "row-not-a-list": ({"generators": ["u", "v"], "monomials": [1, 2]},
+                       "'monomials'"),
+    "monomials-not-a-list": ({"generators": ["u"], "monomials": {"u": 1}},
+                             "'monomials'"),
+    "repeated-generator": ({"generators": ["u", "u"], "monomials": [[1, 2], [2, 1]]},
+                           "'generators'"),
+    "generators-string": ({"generators": "uv", "monomials": [[1, 0], [0, 1]]},
+                          "'generators'"),
+    "integer-generators": ({"generators": [1, 2], "monomials": [[1, 0], [0, 1]]},
+                           "'generators'"),
+    "empty-generator": ({"generators": ["u", ""], "monomials": [[1, 0], [0, 1]]},
+                        "'generators'"),
+    "float-rational": ({"rationals": [0.5, "1/3"]}, "'rationals'"),
+    "integer-rational": ({"rationals": [1, "1/3"]}, "'rationals'"),
+    "null-rational": ({"rationals": ["1/2", None]}, "'rationals'"),
+    "rationals-string": ({"rationals": "1/2"}, "'rationals'"),
+    "short-row": ({"generators": ["u", "v"], "monomials": [[1], [0, 1]]},
+                  "'monomials'"),
+    "input-string": ({"input": "rationals"}, "unrecognized system document"),
+}
+
+
+@pytest.mark.parametrize("doc, field", MALFORMED_INPUTS.values(),
+                         ids=list(MALFORMED_INPUTS))
+def test_malformed_input_is_a_parse_error(tmp_path, doc, field):
+    proc = run_python("-m", "froblip.cli", "build", write(tmp_path, "bad.json", doc))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_build_near_one_ratio_is_fast_domain_error(tmp_path):
+    # 1 - 10^-400 needs 10^400 - 1 factored; its dimension has no float
+    p = write(tmp_path, "near.json",
+              {"rationals": [f"{10 ** 400 - 1}/{10 ** 400}", "1/2"]})
+    start = time.perf_counter()
+    proc = run_python("-m", "froblip.cli", "build", p)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == "error: a ratio is too close to 1 for a float dimension\n"
+
+
+def test_build_keeps_a_large_cofactor(tmp_path):
+    n = 10 ** 400 - 1
+    cofactor = n
+    for d in range(2, 2 ** 16):
+        while cofactor % d == 0:
+            cofactor //= d
+    assert cofactor.bit_length() == 1151
+    ratios = [Fraction(n, 10 ** 401), Fraction(1, 2)]
+    p = write(tmp_path, "big.json", {"rationals": [str(r) for r in ratios]})
+    proc = run_python("-m", "froblip.cli", "build", p)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    basis = [Fraction(v) for v in doc["basis"]]
+    assert any(v.numerator % cofactor == 0 or v.denominator % cofactor == 0
+               for v in basis)
+    for r, x in zip(ratios, doc["exponents"]):
+        assert math.prod(v ** e for v, e in zip(basis, x)) == r

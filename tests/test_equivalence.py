@@ -18,7 +18,7 @@ from froblip.equivalence import (
     iteration_orders,
     screen_invariants,
 )
-from froblip.lattice import Monomial
+from froblip.lattice import Monomial, factor_rationals
 from froblip.selfsimilar import _brackets, build_system, iterate
 
 
@@ -295,6 +295,34 @@ def test_iteration_orders_match_brute_force():
     for n in range(2, 5000):
         root, g = equivalence._primitive_root(n)
         assert root ** g == n and root not in perfect_powers, n
+
+
+def test_primitive_root_of_large_prime_powers():
+    # primes above 2^16 leave trial division as one cofactor, whose least
+    # root comes from integer k-th roots
+    rng = random.Random("large-roots")
+    for _ in range(8):
+        p, q = (sympy.nextprime(rng.randrange(2 ** 16, 2 ** 40)) for _ in range(2))
+        if p == q:
+            continue
+        for k in range(1, 6):
+            assert equivalence._primitive_root(q ** k) == (q, k)
+            assert equivalence._primitive_root((p * q) ** k) == (p * q, k)
+            assert equivalence._primitive_root(6 ** k * (p * q) ** (2 * k)) \
+                == (6 * (p * q) ** 2, k)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_composite_cofactor_system_against_its_iteration(p):
+    # 1/(a*b) for primes a, b > 2^16: the coprime base keeps a*b whole
+    rng = random.Random(f"cofactor-{p}")
+    for _ in range(4):
+        a, b = (sympy.nextprime(rng.randrange(2 ** 16, 2 ** 40)) for _ in range(2))
+        ratios = [f"1/{a * b}", "1/2"] + ([f"2/{3 * a * b}"] if p == 2 else [])
+        e = build_system(ratios)
+        assert Fraction(1, a * b) in factor_rationals(e.ratios)[0].values
+        v = decide(e, iterate(e, p))
+        assert v.result == EQUIVALENT, v
 
 
 def test_coplanar_search_bound_undecided(monkeypatch):

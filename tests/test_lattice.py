@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from froblip.errors import FroblipError, ParseError
 from froblip.lattice import (
     Monomial,
     PseudoBasis,
+    coprime_base,
     express_over_hnf,
     factor_integer,
     factor_rationals,
@@ -55,11 +58,14 @@ def test_factor_rationals_round_trip():
         assert basis.eval_exact(x) == r
 
 
+def _large_prime(rng, bits=40):
+    return sympy.nextprime(rng.randrange(2 ** 16, 2 ** bits))
+
+
 def _two_large_primes(rng):
     """p * q with primes above 2^16, so trial division leaves the whole
-    product (at least 2^32) to the sympy fallback."""
-    return sympy.nextprime(rng.randrange(2 ** 16, 2 ** 24)) * \
-        sympy.nextprime(rng.randrange(2 ** 16, 2 ** 40))
+    product (at least 2^32) as one cofactor."""
+    return _large_prime(rng, 24) * _large_prime(rng)
 
 
 def _seeded(draw):
@@ -69,7 +75,8 @@ def _seeded(draw):
 FACTOR_FAMILIES = {
     "edges": lambda rng: [1, 2, 3, 4, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1,
                           (2 ** 16 + 1) ** 2, 65521 * 65537, 2 ** 32 - 1,
-                          2 ** 32 - 5, 2 ** 61 - 1, 2 ** 89 - 1],
+                          2 ** 32 - 5, 2 ** 61 - 1, 2 ** 89 - 1,
+                          (2 ** 61 - 1) ** 6, 12 * (65537 * 65539) ** 4],
     "up_to_1e6": _seeded(lambda rng: rng.randrange(1, 10 ** 6)),
     "up_to_1e12": _seeded(lambda rng: rng.randrange(1, 10 ** 12)),
     "two_large_primes": _seeded(_two_large_primes),
@@ -77,12 +84,36 @@ FACTOR_FAMILIES = {
 }
 
 
+def check_coprime_base(factors: dict, n: int):
+    """The factor_integer contract against sympy's prime factorization."""
+    primes = sympy.factorint(n)
+    assert math.prod(b ** e for b, e in factors.items()) == n
+    assert list(factors) == sorted(factors)
+    assert all(b > 1 and e > 0 for b, e in factors.items())
+    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(factors, 2))
+    assert not any(sympy.perfect_power(b) for b in factors)
+    for p in primes:
+        assert sum(b % p == 0 for b in factors) == 1
+    if sum(p >= 2 ** 16 for p in primes) <= 1:
+        assert factors == {int(p): e for p, e in primes.items()}
+
+
 @pytest.mark.parametrize("family", sorted(FACTOR_FAMILIES))
 def test_factor_integer_matches_sympy(family):
     for n in FACTOR_FAMILIES[family](random.Random(f"factor-{family}")):
-        got = factor_integer(n)
-        assert got == {int(p): e for p, e in sympy.factorint(n).items()}, n
-        assert list(got) == sorted(got)
+        check_coprime_base(factor_integer(n), n)
+
+
+def test_coprime_base_keeps_an_unsplit_cofactor():
+    p, q = 65537, 65539
+    assert factor_integer(p * q) == {p * q: 1}
+    assert factor_integer((p * q) ** 3) == {p * q: 3}
+    assert factor_integer(p ** 4 * q ** 3) == {p ** 4 * q ** 3: 1}
+    # another number splits the cofactor
+    assert coprime_base([p * q, 2 * p]) == [2, p, q]
+    assert coprime_base([p ** 2 * q, p * q]) == [p, q]
+    # ... unless their exponents are proportional
+    assert coprime_base([(p * q) ** 2, (p * q) ** 3]) == [p * q]
 
 
 def test_factor_integer_rejects_nonpositive():
@@ -93,7 +124,7 @@ def test_factor_integer_rejects_nonpositive():
 
 def test_factor_rationals_rebuilds_seeded_ratios():
     rng = random.Random(5)
-    for hi in (10 ** 3, 10 ** 6, 10 ** 12):
+    for hi in (10 ** 3, 10 ** 6, 10 ** 12, 10 ** 30):
         ratios = []
         while len(ratios) < 6:
             a, b = rng.randrange(1, hi), rng.randrange(1, hi)
@@ -101,10 +132,46 @@ def test_factor_rationals_rebuilds_seeded_ratios():
                 ratios.append(Fraction(min(a, b), max(a, b)))
         basis, vectors = factor_rationals(ratios)
         assert list(basis.values) == sorted(basis.values, reverse=True)
-        assert all(v.numerator == 1 and sympy.isprime(v.denominator)
-                   for v in basis.values)
+        base = [v.denominator for v in basis.values]
+        assert all(v.numerator == 1 and not sympy.perfect_power(b)
+                   for v, b in zip(basis.values, base))
+        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
+        assert all(any(x[i] for x in vectors) for i in range(len(base)))
         for r, x in zip(ratios, vectors):
             assert basis.eval_exact(x) == r
+
+
+def _prime_vectors(ratios, primes):
+    """Exponent vectors of the ratios over the primes they are made of
+    (sympy's factorint is too slow on products of several 40-bit primes)."""
+    return [tuple(sympy.multiplicity(p, r.numerator)
+                  - sympy.multiplicity(p, r.denominator) for p in primes)
+            for r in ratios]
+
+
+def test_rank_over_coprime_base_matches_primes():
+    rng = random.Random("coprime-rank")
+    composite = 0
+    for _ in range(40):
+        primes = [_large_prime(rng) for _ in range(rng.randrange(2, 5))]
+        assert all(sympy.isprime(p) for p in primes)
+        # products of one or two large primes, which other blocks may split
+        blocks = [math.prod(rng.sample(primes, rng.randrange(1, 3)))
+                  for _ in range(3)] + rng.sample([2, 3, 5, 7], 2)
+        ratios, size = [], rng.randrange(2, 5)
+        while len(ratios) < size:
+            num = rng.choice(blocks) ** rng.randrange(0, 3)
+            den = math.prod(rng.choice(blocks) ** rng.randrange(1, 4)
+                            for _ in range(2))
+            if num < den:
+                ratios.append(Fraction(num, den))
+        basis, vectors = factor_rationals(ratios)
+        for r, x in zip(ratios, vectors):
+            assert basis.eval_exact(x) == r
+        want = integer_rank(_prime_vectors(ratios, primes + [2, 3, 5, 7]))
+        assert integer_rank(vectors) == want, ratios
+        composite += not all(sympy.isprime(v.denominator) for v in basis.values)
+    assert composite >= 10, composite  # bases that keep an unsplit cofactor
 
 
 def test_factor_rationals_negative_exponents():
