@@ -28,7 +28,8 @@ def main():
         build_system([Monomial.make({"l": 3}), Monomial.make({"l": 2})]),
     )
     show(
-        "{u^2, v} vs {u, v^2} (axis-supported counting refutation)",
+        "{u^2, v} vs {u, v^2} (axis-supported, so coplanar: refuted by "
+        "the iteration identity at p = q = 1)",
         build_system([Monomial.make({"u": 2}), Monomial.make({"v": 1})]),
         build_system([Monomial.make({"u": 1}), Monomial.make({"v": 2})]),
     )

@@ -163,15 +163,18 @@ def cmd_multiplicity(args) -> int:
     return 0
 
 
+def _threshold(args):
+    """The cut threshold of ``--t`` or ``--exp-k``; exactly one is given."""
+    if (args.t is None) == (args.exp_k is None):
+        raise ParseError(f"{args.command} needs exactly one of --t and --exp-k")
+    if args.t is not None:
+        return parse_rational(args.t)
+    return ExpThreshold(_parse(Fraction, args.exp_k, "--exp-k"))
+
+
 def cmd_cutset(args) -> int:
     system = serialize.load_system(args.system)
-    if args.t is not None:
-        t = parse_rational(args.t)
-    elif args.exp_k is not None:
-        t = ExpThreshold(_parse(Fraction, args.exp_k, "--exp-k"))
-    else:
-        raise ParseError("cutset needs --t or --exp-k")
-    cs = cut_set(system, t)
+    cs = cut_set(system, _threshold(args))
     _emit_json(serialize.cutset_to_json(cs), args.out)
     return 0
 
@@ -179,12 +182,7 @@ def cmd_cutset(args) -> int:
 def cmd_matchable(args) -> int:
     a = serialize.load_system(args.a)
     b = serialize.load_system(args.b)
-    if args.t is not None:
-        t = parse_rational(args.t)
-    elif args.exp_k is not None:
-        t = ExpThreshold(_parse(Fraction, args.exp_k, "--exp-k"))
-    else:
-        raise ParseError("matchable needs --t or --exp-k")
+    t = _threshold(args)
     if args.search:
         report = matchable_search(a, b, t, m0_limit=args.m0_limit)
     else:

@@ -1,14 +1,14 @@
 """Decision procedures for bi-Lipschitz equivalence of dust-like systems.
 
 Every fact about a pair is read from one pair context, built once per
-``decide`` call over a single merged pseudo-basis.  The stages run in
+``decide`` call over a single merged pseudo-basis.  Four stages run in
 this order, and the first verdict wins: the invariant screen (common
-basis, dimension, rank, cone), the permutation fast path, the
-axis-counting refutation, the full-rank and two-branch deciders, the
-cardinality refutation, and the iteration identity P_e**p0 == P_f**q0,
-which decides every coplanar pair (see ``decide``).  Dimensions refute
-only when a rational delta* certifiably lies between them (``_dimension``).
-``decide`` loads no third-party library.
+basis, dimension, rank, cone); the iteration identity P_e**p0 == P_f**q0,
+which proves equivalence for any pair; the two-branch decider for rank-1
+pairs of two ratios each, the one non-coplanar family decided; and the
+coplanar refutations, by the paper's main theorem (see ``decide``).
+Dimensions refute only when a rational delta* certifiably lies between
+them (``_dimension``).  ``decide`` loads no third-party library.
 """
 from __future__ import annotations
 
@@ -53,7 +53,6 @@ class _Pair:
     points_e: Counter
     points_f: Counter
     ranks: tuple
-    same_ratios: bool
 
 
 def _pair(e: ContractionSystem, f: ContractionSystem) -> _Pair:
@@ -61,8 +60,7 @@ def _pair(e: ContractionSystem, f: ContractionSystem) -> _Pair:
     _, e2, f2 = common_basis(e, f)
     points_e, points_f = Counter(e2.exponents), Counter(f2.exponents)
     return _Pair(e, f, e2, f2, points_e, points_f,
-                 (integer_rank(list(points_e)), integer_rank(list(points_f))),
-                 Counter(e.ratios) == Counter(f.ratios))
+                 (integer_rank(list(points_e)), integer_rank(list(points_f))))
 
 
 def _dimension(pair: _Pair) -> Optional[Verdict]:
@@ -151,39 +149,21 @@ def screen_invariants(e: ContractionSystem,
     return _screen(e, f)[1]
 
 
-def _full_rank(pair: _Pair) -> Optional[Verdict]:
-    """Full-rank decider: applies only when both exponent sets have rank
-    equal to their branch count; equivalence is then exactly permutation,
-    which ``decide`` has already ruled out."""
-    if pair.ranks != (pair.e.m, pair.f.m):
-        return None
-    return Verdict(NOT_EQUIVALENT, "full_rank_multiset",
-                   {"invariant": "full_rank_multiset", "values": []})
-
-
-def _two_branch_special(exps_a, exps_b) -> bool:
-    a = sorted(exps_a)
-    b = sorted(exps_b)
-    c = a[0]
-    if c >= 1 and a == [c, 5 * c] and b == [2 * c, 3 * c]:
-        return True
-    c = b[0]
-    return c >= 1 and b == [c, 5 * c] and a == [2 * c, 3 * c]
-
-
 def _two_branch(pair: _Pair) -> Optional[Verdict]:
-    """Complete decider for m = n = 2: permutation (already ruled out by
-    ``decide``), or the one exceptional pair of exponent patterns {5,1} vs
-    {3,2} over the same rank-1 group."""
+    """Complete decider for rank-1 pairs with m = n = 2: permutation
+    (already ruled out by ``decide``), or the one exceptional pair of
+    exponent patterns {c, 5c} vs {2c, 3c} over the same rank-1 group."""
     e, f = pair.e, pair.f
-    if e.m != 2 or f.m != 2:
+    if pair.ranks != (1, 1) or e.m != 2 or f.m != 2:
         return None
     if e.dim == 1 and f.dim == 1 and e.basis == f.basis:
-        ea = [v[0] for v in e.exponents]
-        fa = [v[0] for v in f.exponents]
-        if _two_branch_special(ea, fa):
-            return Verdict(EQUIVALENT, "TWO_BRANCH_SPECIAL",
-                           {"tag": "TWO_BRANCH_SPECIAL"})
+        a = sorted(v[0] for v in e.exponents)
+        b = sorted(v[0] for v in f.exponents)
+        for x, y in ((a, b), (b, a)):
+            c = x[0]
+            if c >= 1 and x == [c, 5 * c] and y == [2 * c, 3 * c]:
+                return Verdict(EQUIVALENT, "TWO_BRANCH_SPECIAL",
+                               {"tag": "TWO_BRANCH_SPECIAL"})
     return Verdict(NOT_EQUIVALENT, "two_branch",
                    {"invariant": "two_branch", "values": []})
 
@@ -211,43 +191,6 @@ def iteration_orders(m: int, n: int) -> Optional[tuple]:
     return b // g, a // g
 
 
-def _axis_profile(vectors):
-    """{axis: (exponent value, multiplicity)} when every vector sits on a
-    single coordinate axis with one exponent value per axis, else None."""
-    profile = {}
-    for v in vectors:
-        nz = [(i, x) for i, x in enumerate(v) if x != 0]
-        if len(nz) != 1 or nz[0][1] < 0:
-            return None
-        axis, val = nz[0]
-        if axis in profile:
-            if profile[axis][0] != val:
-                return None
-            profile[axis] = (val, profile[axis][1] + 1)
-        else:
-            profile[axis] = (val, 1)
-    return profile
-
-
-def _axis_counting(pair: _Pair) -> Optional[Verdict]:
-    """Exact refutation for axis-supported systems over >= 2 axes.
-
-    When every branch of both systems contracts along a single basis axis
-    with one exponent value per axis, equivalence forces the ratio
-    multisets to be permutations of each other; unequal multisets refute.
-    """
-    prof_e = _axis_profile(pair.e2.exponents)
-    prof_f = _axis_profile(pair.f2.exponents)
-    if prof_e is None or prof_f is None:
-        return None
-    if len(set(prof_e) | set(prof_f)) < 2:
-        return None
-    return Verdict(NOT_EQUIVALENT, "ITERATION_COUNTING",
-                   {"invariant": "ITERATION_COUNTING",
-                    "values": [sorted(prof_e.items()),
-                               sorted(prof_f.items())]})
-
-
 def _times(a: Counter, b: Counter) -> Counter:
     """Product of polynomials held as {exponent vector: coefficient}."""
     if len(a) * len(b) > ITERATION_BUDGET:
@@ -268,16 +211,26 @@ def _power(poly: Counter, k: int) -> Counter:
     return _times(half, poly) if k % 2 else half
 
 
+def _value(points: Counter) -> Fraction:
+    """sum_z m(z) x**z at x_i = the i-th prime, exactly (z may be negative);
+    the k-th prime is below 20 k for every k below 10**7 (Rosser)."""
+    k = len(next(iter(points)))
+    x = [n for n in range(2, 20 * k) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    return sum(c * math.prod(Fraction(b) ** z for b, z in zip(x, point))
+               for point, c in points.items())
+
+
 def _permutation_witness(e: ContractionSystem, f: ContractionSystem,
                          p: int, q: int):
     """Index map from the p-th iteration of ``e`` onto equal ratios of the
-    q-th iteration of ``f``; None past PERMUTATION_CERT_LIMIT ratios."""
-    if e.m ** p > PERMUTATION_CERT_LIMIT:
+    q-th iteration of ``f``; always given for p = 1, else None past
+    PERMUTATION_CERT_LIMIT ratios (a checker then compares ratio multisets)."""
+    if p > 1 and e.m ** p > PERMUTATION_CERT_LIMIT:
         return None
     buckets = {}
-    for j, r in enumerate(iterate(f, q).ratios):
+    for j, r in reversed(list(enumerate(iterate(f, q).ratios))):
         buckets.setdefault(r, []).append(j)
-    return tuple(buckets[r].pop(0) for r in iterate(e, p).ratios)
+    return tuple(buckets[r].pop() for r in iterate(e, p).ratios)
 
 
 def _gamma_diagnostics(pair: _Pair) -> dict:
@@ -303,40 +256,36 @@ def _gamma_diagnostics(pair: _Pair) -> dict:
 
 def decide(e: ContractionSystem, f: ContractionSystem,
            diagnostics: bool = False) -> Verdict:
-    """Full decision pipeline, in the stage order of the module docstring.
+    """Full decision pipeline, in the four stages of the module docstring.
 
     The paper's main theorem: a coplanar pair is Lipschitz equivalent iff
-    the p-th iteration of e permutes the q-th of f for some p, q, that is
-    iff P_e**p == P_f**q for the Laurent polynomials P = sum_j x**X_j
-    over the common basis.  Then m**p == n**q, so (p, q) = t*(p0, q0)
-    (``iteration_orders``); and A**t == B**t for A = P_e**p0, B = P_f**q0
-    makes A/B a root of unity in Q(x), so +-1, and positive coefficients
-    force A == B.  Only (p0, q0) is checked: ITERATION_PERMUTATION when
-    the identity holds (any pair), NO_ITERATION_PERMUTATION when it fails
-    on a coplanar pair; UNDECIDED is SEARCH_BOUND past ITERATION_BUDGET
-    term products, else OUTSIDE_DECIDABLE_FAMILIES (diagnostics on request).
+    P_e**p == P_f**q for some p, q and P = sum_j x**X_j over the common
+    basis (the p-th iteration of e permutes the q-th of f).  Then m**p ==
+    n**q, so (p, q) = t*(p0, q0) (``iteration_orders``); and A**t == B**t
+    for A = P_e**p0, B = P_f**q0 makes A/B a root of unity in Q(x), so +-1,
+    and positive coefficients force A == B.  So only (p0, q0) is checked.
+    Unequal values of A and B at a point of primes (``_value``) refute it
+    with no budget; equal values prove nothing and lead to the expansion,
+    UNDECIDED SEARCH_BOUND past ITERATION_BUDGET term products.  A coplanar
+    pair that fails it is NOT_EQUIVALENT, NO_ITERATION_CARDINALITY when
+    m**p == n**q has no solution.  Rank-1 pairs of two ratios each, not
+    coplanar unless a side repeats its ratio, go to ``_two_branch`` first.
+
+    Special cases need no stage of their own: equal ratio multisets are the
+    identity at (1, 1); axis-supported points (one value c_i on each axis
+    i) and independent points are coplanar (eta_i = 1/c_i, or eta solving
+    <eta, X_j> = 1), and a full-rank pair has m == n after the rank screen,
+    so (1, 1) leaves only permutation.
     """
     pair, verdict = _screen(e, f)
     if verdict is not None:
         return verdict
-    if pair.same_ratios:
-        return Verdict(EQUIVALENT, "PERMUTATION", {"tag": "PERMUTATION"})
-    for stage in (_axis_counting, _full_rank, _two_branch):
-        verdict = stage(pair)
-        if verdict is not None:
-            return verdict
-    coplanar = coplanar_functional(list(pair.points_e)).present and \
-        coplanar_functional(list(pair.points_f)).present
     orders = iteration_orders(e.m, f.m)
-    if orders is None:
-        if coplanar:
-            return Verdict(NOT_EQUIVALENT, "NO_ITERATION_CARDINALITY",
-                           {"invariant": "NO_ITERATION_CARDINALITY",
-                            "values": [e.m, f.m]})
-    else:
+    if orders is not None:
         p, q = orders
         try:
-            holds = _power(pair.points_e, p) == _power(pair.points_f, q)
+            holds = (_value(pair.points_e) ** p == _value(pair.points_f) ** q
+                     and _power(pair.points_e, p) == _power(pair.points_f, q))
         except ResourceLimit:
             return Verdict(UNDECIDED, "SEARCH_BOUND",
                            {"p": p, "q": q, "budget": ITERATION_BUDGET})
@@ -344,8 +293,17 @@ def decide(e: ContractionSystem, f: ContractionSystem,
             return Verdict(EQUIVALENT, "ITERATION_PERMUTATION",
                            {"p": p, "q": q,
                             "permutation": _permutation_witness(e, f, p, q)})
-        if coplanar:  # the main theorem: no iterations permute each other
-            return Verdict(NOT_EQUIVALENT, "NO_ITERATION_PERMUTATION",
-                           {"p": p, "q": q})
+    verdict = _two_branch(pair)
+    if verdict is not None:
+        return verdict
+    if coplanar_functional(list(pair.points_e)).present and \
+            coplanar_functional(list(pair.points_f)).present:
+        # the main theorem: no iterations permute each other
+        if orders is None:
+            return Verdict(NOT_EQUIVALENT, "NO_ITERATION_CARDINALITY",
+                           {"invariant": "NO_ITERATION_CARDINALITY",
+                            "values": [e.m, f.m]})
+        return Verdict(NOT_EQUIVALENT, "NO_ITERATION_PERMUTATION",
+                       {"p": orders[0], "q": orders[1]})
     diag = _gamma_diagnostics(pair) if diagnostics else None
     return Verdict(UNDECIDED, "OUTSIDE_DECIDABLE_FAMILIES", None, diag)

@@ -31,9 +31,12 @@ def ratios_from_json(doc: dict):
     Either ``{"rationals": ["1/2", "1/3"]}`` or
     ``{"generators": ["a", "b"], "monomials": [[1,0],[0,1]]}``: rationals
     are strings, generators distinct non-empty strings, and exponents
-    integers.  Anything else raises ParseError naming the field.
+    integers.  Anything else, mixed schemas too, raises ParseError naming
+    the field.
     """
     if "rationals" in doc:
+        if "generators" in doc or "monomials" in doc:
+            raise ParseError("'rationals' cannot be given with 'generators'/'monomials'")
         texts = _json_list(doc["rationals"], "'rationals'")
         for t in texts:
             if not isinstance(t, str):

@@ -178,7 +178,8 @@ def test_criterion_5_paper_decisions():
     d = build_system([Monomial.make({"u": 1}), Monomial.make({"v": 2})])
     v = decide(c, d)
     assert v.result == NOT_EQUIVALENT
-    assert v.reason == "ITERATION_COUNTING"
+    assert v.reason == "NO_ITERATION_PERMUTATION"
+    assert v.certificate == {"p": 1, "q": 1}
 
     e = build_system(["1/2", "1/2"])
     f = build_system(["1/4", "1/4", "1/4", "1/4"])
@@ -186,7 +187,7 @@ def test_criterion_5_paper_decisions():
     assert v.result == EQUIVALENT
     assert (v.certificate["p"], v.certificate["q"]) == (2, 1)
     assert time.time() - start < 5
-    _ok(5, "two-branch special, axis counting refutation, square iteration")
+    _ok(5, "two-branch special, axis-supported refutation, square iteration")
 
 
 def test_criterion_6_frobenius_1d():

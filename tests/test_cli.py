@@ -86,7 +86,8 @@ def test_decide_exit_codes(tmp_path, capsys, half, quarters):
               {"generators": ["u", "v"], "monomials": [[1, 0], [0, 2]]})
     assert main(["decide", a, b]) == 10
     doc = json.loads(capsys.readouterr().out)
-    assert doc["reason"] == "ITERATION_COUNTING"
+    assert doc["reason"] == "NO_ITERATION_PERMUTATION"
+    assert doc["certificate"] == {"p": 1, "q": 1}
 
     # coplanar, and (u^2 + 2uv + v^2) != 2u^2 + uv + v^2: the only
     # iteration pair with 4**p == 2**q that can match, (1, 2), does not
@@ -98,6 +99,20 @@ def test_decide_exit_codes(tmp_path, capsys, half, quarters):
     doc = json.loads(capsys.readouterr().out)
     assert doc["reason"] == "NO_ITERATION_PERMUTATION"
     assert doc["certificate"] == {"p": 1, "q": 2}
+
+
+def test_decide_large_axis_supported_pair(tmp_path, capsys):
+    # 32 generators against each of them twice: refuted at once, though
+    # expanding the identity at (6, 5) would pass ITERATION_BUDGET
+    names = [f"u{i}" for i in range(32)]
+    rows = [[int(i == j) for j in range(32)] for i in range(32)]
+    a = write(tmp_path, "axis32.json", {"generators": names, "monomials": rows})
+    b = write(tmp_path, "axis64.json", {"generators": names,
+                                        "monomials": [r for r in rows for _ in range(2)]})
+    assert main(["decide", a, b]) == 10
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["result"], doc["reason"], doc["certificate"]) == (
+        "NOT_EQUIVALENT", "NO_ITERATION_PERMUTATION", {"p": 6, "q": 5})
 
 
 def test_decide_two_branch(tmp_path, capsys):
@@ -324,6 +339,9 @@ BAD_ARGUMENTS = [
     (["multiplicity", "{s2}", "--bound", "1/0"], 2),
     (["multiplicity", "{s2}", "--bound", "0"], 4),
     (["cutset", "{s2}", "--exp-k", "abc"], 2),
+    (["cutset", "{s2}"], 2),  # no threshold
+    (["cutset", "{s2}", "--t", "1/4", "--exp-k", "1/2"], 2),  # two thresholds
+    (["matchable", "{s2}", "{s2}", "--t", "1/4", "--exp-k", "1/2"], 2),
     (["gamma", "{s4}", "--empirical", "--dirs", "3"], 4),  # 4-D sweep: --theta
     (["gamma", "{s2}", "--theta=1,1,1"], 4),  # 3 components, dimension 2
     (["frobenius1d", "3000001", "3000002"], 3),  # more residues than the budget
@@ -331,7 +349,8 @@ BAD_ARGUMENTS = [
 
 
 @pytest.mark.parametrize("argv, code", BAD_ARGUMENTS, ids=[
-    " ".join([a[0], *a[2:]]) for a, _ in BAD_ARGUMENTS])
+    " ".join([a[0], *(x for x in a[2:] if not x.startswith("{"))])
+    for a, _ in BAD_ARGUMENTS])
 def test_bad_argument_typed_error(tmp_path, argv, code):
     s2 = write(tmp_path, "s2.json", {"rationals": ["1/2", "1/3"]})
     s4 = write(tmp_path, "s4.json", {"rationals": ["1/2", "1/3", "1/5", "1/7"]})
@@ -464,6 +483,8 @@ MALFORMED_INPUTS = {
     "short-row": ({"generators": ["u", "v"], "monomials": [[1], [0, 1]]},
                   "'monomials'"),
     "input-string": ({"input": "rationals"}, "unrecognized system document"),
+    "rationals-and-monomials": ({"rationals": ["1/2", "1/3"], "generators": ["u"],
+                                 "monomials": [[1], [2]]}, "'generators'"),
 }
 
 

@@ -18,6 +18,7 @@ from froblip.equivalence import (
     iteration_orders,
     screen_invariants,
 )
+from froblip.errors import ResourceLimit
 from froblip.lattice import Monomial, factor_rationals
 from froblip.selfsimilar import _brackets, build_system, iterate
 
@@ -49,13 +50,15 @@ def test_two_branch_generic_not_equivalent():
     assert v.result == NOT_EQUIVALENT
 
 
-def test_axis_counting_refutation():
-    # axis-supported instance: {u^2, v} vs {u, v^2}
+def test_axis_supported_refutation():
+    # axis-supported, so coplanar: {u^2, v} vs {u, v^2} fails the identity
+    # at the only iteration pair with 2**p == 2**q that can match, (1, 1)
     a = sym({"u": 2}, {"v": 1})
     b = sym({"u": 1}, {"v": 2})
     v = decide(a, b)
     assert v.result == NOT_EQUIVALENT
-    assert v.reason == "ITERATION_COUNTING"
+    assert v.reason == "NO_ITERATION_PERMUTATION"
+    assert v.certificate == {"p": 1, "q": 1}
 
 
 def test_iteration_permutation_square():
@@ -327,17 +330,52 @@ def test_composite_cofactor_system_against_its_iteration(p):
 
 def test_coplanar_search_bound_undecided(monkeypatch):
     # both pairs are coplanar and need one 2 x 2 term product; past a
-    # budget of 3 term products neither may be decided either way
+    # budget of 3 term products the equivalent pair is undecided, while
+    # the refuted one differs at the primes (23 != 5**2) and needs none
     u, v, uv = {"u": 1}, {"v": 1}, {"u": 1, "v": 1}
     equivalent = (sym(u, v), sym({"u": 2}, uv, uv, {"v": 2}))
     refuted = (sym({"u": 2}, {"u": 2}, uv, {"v": 2}), sym(u, v))
     assert decide(*equivalent).reason == "ITERATION_PERMUTATION"
     assert decide(*refuted).reason == "NO_ITERATION_PERMUTATION"
     monkeypatch.setattr(equivalence, "ITERATION_BUDGET", 3)
-    for a, b in (equivalent, refuted):
-        v = decide(a, b)
-        assert (v.result, v.reason) == (UNDECIDED, "SEARCH_BOUND")
-        assert v.certificate["budget"] == 3
+    v = decide(*equivalent)
+    assert (v.result, v.reason) == (UNDECIDED, "SEARCH_BOUND")
+    assert v.certificate["budget"] == 3
+    v = decide(*refuted)
+    assert (v.result, v.reason, v.certificate) == (
+        NOT_EQUIVALENT, "NO_ITERATION_PERMUTATION", {"p": 1, "q": 2})
+
+
+def test_large_axis_supported_pair_is_refuted_without_expansion(monkeypatch):
+    # 32 generators against each of them twice: (p0, q0) = (6, 5), and
+    # P_e**6 needs more than ITERATION_BUDGET term products; the values
+    # at the primes refute the identity without expanding it
+    names = [f"u{i}" for i in range(32)]
+    e = sym(*({x: 1} for x in names))
+    f = sym(*({x: 1} for x in names for _ in range(2)))
+    with pytest.raises(ResourceLimit):
+        equivalence._power(Counter(e.exponents), 6)
+
+    def no_expansion(poly, k):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr(equivalence, "_power", no_expansion)
+    v = decide(e, f)
+    assert (v.result, v.reason, v.certificate) == (
+        NOT_EQUIVALENT, "NO_ITERATION_PERMUTATION", {"p": 6, "q": 5})
+
+
+def test_permutation_map_past_the_certificate_limit(monkeypatch):
+    # a permuted copy (p = 1) always gets its map; a written-out
+    # iteration past the limit gets None
+    monkeypatch.setattr(equivalence, "PERMUTATION_CERT_LIMIT", 2)
+    e = build_system(["1/2", "1/3", "1/6"])
+    v = decide(e, build_system(["1/6", "1/2", "1/3"]))
+    assert v.certificate == {"p": 1, "q": 1, "permutation": (1, 2, 0)}
+    v = decide(iterate(e, 2), e)
+    assert v.certificate == {"p": 1, "q": 2, "permutation": tuple(range(9))}
+    v = decide(e, iterate(e, 2))
+    assert v.certificate == {"p": 2, "q": 1, "permutation": None}
 
 
 def test_undecided_outside_families_with_diagnostics():
@@ -425,9 +463,9 @@ def test_decide_against_iteration_brute_force():
         coplanar = _coplanar(va) and _coplanar(vb)
         if built:
             assert v.result == EQUIVALENT, (va, vb, v)
-        if v.reason in ("PERMUTATION", "ITERATION_PERMUTATION"):
+        if v.reason == "ITERATION_PERMUTATION":
             cert = v.certificate
-            assert matches and matches[0] == (cert.get("p", 1), cert.get("q", 1))
+            assert matches and matches[0] == (cert["p"], cert["q"])
             perm = cert.get("permutation")
             if perm is not None:
                 ra, rb = iterate(a, cert["p"]).ratios, iterate(b, cert["q"]).ratios
@@ -458,14 +496,15 @@ def test_demo_pair_outside_families_diagnostics():
     assert set(v.diagnostics) == {"theta", "gamma_e", "gamma_f", "gap"}
 
 
-@pytest.mark.parametrize("a, b, reason", [
+@pytest.mark.parametrize("a, b, reason, certificate", [
     (build_system(["1/6", "1/10"]), build_system(["1/10", "1/6"]),
-     "PERMUTATION"),
+     "ITERATION_PERMUTATION", {"p": 1, "q": 1, "permutation": (1, 0)}),
     (build_system(["1/2", "1/2"]), build_system(["1/4"] * 4),
-     "ITERATION_PERMUTATION"),
-    (sym({"l": 5}, {"l": 1}), sym({"l": 3}, {"l": 2}), "TWO_BRANCH_SPECIAL"),
+     "ITERATION_PERMUTATION", {"p": 2, "q": 1, "permutation": (0, 1, 2, 3)}),
+    (sym({"l": 5}, {"l": 1}), sym({"l": 3}, {"l": 2}), "TWO_BRANCH_SPECIAL",
+     {"tag": "TWO_BRANCH_SPECIAL"}),
 ], ids=["permutation", "iteration", "two_branch"])
-def test_decide_merges_bases_once(monkeypatch, a, b, reason):
+def test_decide_merges_bases_once(monkeypatch, a, b, reason, certificate):
     calls = []
     real = equivalence.common_basis
 
@@ -474,5 +513,114 @@ def test_decide_merges_bases_once(monkeypatch, a, b, reason):
         return real(*args)
 
     monkeypatch.setattr(equivalence, "common_basis", counted)
-    assert decide(a, b).reason == reason
+    v = decide(a, b)
+    assert (v.reason, v.certificate) == (reason, certificate)
     assert len(calls) == 1
+
+
+def _permutation_oracle(rows_a, rows_b):
+    """The closed-form rule of two coplanar families, which the iteration
+    identity must agree with: axis-supported pairs (every vector on one
+    axis, one value per axis) and pairs of linearly independent vectors
+    are equivalent exactly when their multisets are equal."""
+    return EQUIVALENT if sorted(rows_a) == sorted(rows_b) else NOT_EQUIVALENT
+
+
+def _axis_side(rng, values, copies):
+    """copies[i] rows of values[i] on axis i, shuffled."""
+    k = len(values)
+    rows = [tuple(v if j == i else 0 for j in range(k))
+            for i, (v, c) in enumerate(zip(values, copies)) for _ in range(c)]
+    return rng.sample(rows, len(rows))
+
+
+def _axis_pairs(rng, count):
+    """Symbolic axis-supported pairs with unequal multisets on 2-3 axes,
+    1-3 copies per axis and values 1-3; every fifth pair has 8 vs 4 or
+    9 vs 3 ratios on 3 axes, so that (p0, q0) != (1, 1)."""
+    sizes = {8: [(3, 3, 2), (3, 2, 3), (2, 3, 3)], 4: [(2, 1, 1), (1, 2, 1), (1, 1, 2)],
+             9: [(3, 3, 3)], 3: [(1, 1, 1)]}
+    out = []
+    while len(out) < count:
+        if len(out) % 5 == 4:
+            m, n = rng.choice([(8, 4), (9, 3)])
+            k = 3
+            ca, cb = rng.choice(sizes[m]), rng.choice(sizes[n])
+        else:
+            k = rng.choice([2, 3])
+            ca, cb = ([rng.randint(1, 3) for _ in range(k)] for _ in range(2))
+        a = _axis_side(rng, [rng.randint(1, 3) for _ in range(k)], ca)
+        b = _axis_side(rng, [rng.randint(1, 3) for _ in range(k)], cb)
+        if rng.random() < 0.5:
+            a, b = b, a
+        if sorted(a) != sorted(b):
+            out.append((a, b))
+    return out
+
+
+def _named(rows):
+    return sym(*({"uvw"[i]: x for i, x in enumerate(row) if x} for row in rows))
+
+
+def test_axis_supported_pairs_match_the_counting_rule():
+    orders = Counter()
+    for a, b in _axis_pairs(random.Random("axis-oracle"), 500):
+        v = decide(_named(a), _named(b))
+        assert v.result == _permutation_oracle(a, b), (a, b, v)
+        assert v.reason in ("NO_ITERATION_PERMUTATION",
+                            "NO_ITERATION_CARDINALITY"), (a, b, v)
+        if v.reason == "NO_ITERATION_PERMUTATION":
+            orders[v.certificate["p"], v.certificate["q"]] += 1
+    assert orders[1, 1] and orders[2, 3] and orders[1, 2], orders
+
+
+def test_full_rank_pairs_match_the_permutation_rule():
+    # k independent vectors against the same rays scaled by 1-2: the
+    # cones agree, and symbolic pairs of rank > 1 pass the dimension screen
+    rng = random.Random("full-rank-oracle")
+    seen = Counter()
+    for _ in range(200):
+        k = rng.choice([2, 3])
+        while True:
+            rows = [tuple(rng.randint(0, 2) for _ in range(k)) for _ in range(k)]
+            if sympy.Matrix(rows).rank() == k:
+                break
+        scaled = [tuple(c * x for x in row)
+                  for row, c in zip(rows, rng.choices([1, 1, 2], k=k))]
+        a, b = rng.sample(rows, k), rng.sample(scaled, k)
+        v = decide(_named(a), _named(b))
+        expect = _permutation_oracle(a, b)
+        assert v.result == expect, (a, b, v)
+        assert v.reason == {EQUIVALENT: "ITERATION_PERMUTATION",
+                            NOT_EQUIVALENT: "NO_ITERATION_PERMUTATION"}[expect]
+        assert (v.certificate["p"], v.certificate["q"]) == (1, 1)
+        seen[expect] += 1
+    assert seen[EQUIVALENT] and seen[NOT_EQUIVALENT], seen
+
+
+def test_every_equivalent_verdict_carries_a_checkable_certificate():
+    rng = random.Random("certificates")
+    pool = [(a, b) for a, b, *_ in _oracle_pairs(rng, 60)]
+    for ratios in (["1/2", "1/3", "1/6"], ["1/4", "1/6", "1/9"], ["1/2", "1/4", "1/8"]):
+        e = build_system(ratios)
+        pool.append((e, build_system(rng.sample(ratios, len(ratios)))))
+        for p in (2, 3):  # written-out iterations, shuffled
+            written = iterate(e, p).ratios
+            pool.append((build_system(rng.sample(written, len(written))), e))
+    pool += [(sym({"l": 5 * c}, {"l": c}), sym({"l": 3 * c}, {"l": 2 * c}))
+             for c in (1, 2, 7)]
+    seen = Counter()
+    for e, f in pool:
+        v = decide(e, f)
+        if v.result != EQUIVALENT:
+            continue
+        seen[v.reason] += 1
+        if v.reason == "TWO_BRANCH_SPECIAL":
+            assert v.certificate == {"tag": "TWO_BRANCH_SPECIAL"}
+            continue
+        assert set(v.certificate) == {"p", "q", "permutation"}, v
+        p, q, perm = v.certificate["p"], v.certificate["q"], v.certificate["permutation"]
+        ra, rb = iterate(e, p).ratios, iterate(f, q).ratios
+        assert sorted(perm) == list(range(len(rb))) and len(perm) == len(ra)
+        assert all(ra[i] == rb[j] for i, j in enumerate(perm)), v
+    assert seen["ITERATION_PERMUTATION"] >= 40 and seen["TWO_BRANCH_SPECIAL"] == 3, seen
