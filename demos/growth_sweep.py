@@ -1,20 +1,14 @@
 """Directional growth of lattice-path counts: empirical vs analytic.
 
 Builds the two-branch unit-square data X = {(1,0),(0,1)}, sweeps nine
-directions through its cone and compares the entropy-formula growth rate
-with the slope fitted from exact path counts.  Writes growth_sweep.csv
+directions through its cone and compares the growth rate of the dual
+formula (``growth.gamma``) with the slope fitted from exact path counts.  Writes growth_sweep.csv
 next to this script.
 """
 import math
 import os
 
-from froblip import (
-    build_multiplicity,
-    coplanar_functional,
-    estimate_gamma,
-    make_defining_data,
-)
-from froblip.growth import analytic_gamma
+from froblip import build_multiplicity, estimate_gamma, gamma, make_defining_data
 from froblip.serialize import sweep_csv_lines
 
 VECTORS = ((1, 0), (0, 1))
@@ -22,13 +16,12 @@ VECTORS = ((1, 0), (0, 1))
 
 def main():
     data = make_defining_data(VECTORS)
-    eta = coplanar_functional(VECTORS)
     table = build_multiplicity(data, 95)
     rows = []
     for i in range(9):
         a = math.pi / 36 + (math.pi / 2 - math.pi / 18) * i / 8
         theta = (math.cos(a), math.sin(a))
-        ga = analytic_gamma(data, eta, theta)
+        ga = gamma(data, theta)
         est = estimate_gamma(data, theta, k_max=120.0, table=table)
         rows.append({"theta": theta, "gamma_analytic": ga,
                      "gamma_empirical": est.gamma_hat,

@@ -15,7 +15,6 @@ from .cones import (
     cone_separation,
     coplanar_functional,
     half_space_certificate,
-    hull_cone,
     minimal_face,
 )
 from .equivalence import (
@@ -35,11 +34,9 @@ from .errors import (
     IncompatibleSymbolicBases,
     NoHalfSpace,
     NotConverged,
-    NotCoplanar,
     ParseError,
     QueryOutOfRange,
     ResourceLimit,
-    TargetOutsideHull,
 )
 from .frobenius import (
     DefiningData,
@@ -51,7 +48,7 @@ from .frobenius import (
     make_defining_data,
     multiplicity_at,
 )
-from .growth import EntropySolution, analytic_gamma, max_entropy
+from .growth import gamma
 from .lattice import (
     Monomial,
     PseudoBasis,
@@ -88,7 +85,6 @@ __all__ = [
     "DimensionMismatch",
     "DirectionOutsideCone",
     "EQUIVALENT",
-    "EntropySolution",
     "ExpThreshold",
     "FroblipError",
     "GcdNotOne",
@@ -101,16 +97,13 @@ __all__ = [
     "NOT_EQUIVALENT",
     "NoHalfSpace",
     "NotConverged",
-    "NotCoplanar",
     "ParseError",
     "PseudoBasis",
     "QueryOutOfRange",
     "ResourceLimit",
-    "TargetOutsideHull",
     "UNDECIDED",
     "Verdict",
     "a_k_set",
-    "analytic_gamma",
     "build_multiplicity",
     "build_system",
     "common_basis",
@@ -124,14 +117,13 @@ __all__ = [
     "estimate_gamma",
     "factor_rationals",
     "frobenius_number_1d",
+    "gamma",
     "half_space_certificate",
     "hausdorff_dimension",
-    "hull_cone",
     "iterate",
     "make_defining_data",
     "matchable",
     "matchable_search",
-    "max_entropy",
     "minimal_face",
     "multiplicity_at",
     "parse_rational",

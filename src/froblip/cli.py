@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import serialize
-from .cones import cone_member, coplanar_functional
+from .cones import cone_member
 from .equivalence import EQUIVALENT, NOT_EQUIVALENT, decide
 from .errors import FroblipError, ParseError, ResourceLimit
 from .frobenius import _check_radii, _snap, _unit
@@ -25,7 +25,7 @@ from .frobenius import (
     gamma_table_bound,
     make_defining_data,
 )
-from .growth import analytic_gamma
+from .growth import gamma
 from .lattice import parse_rational
 from .selfsimilar import ExpThreshold, cut_set, matchable, matchable_search
 
@@ -108,11 +108,8 @@ def cmd_build(args) -> int:
 def cmd_gamma(args) -> int:
     system = serialize.load_system(args.system)
     data = make_defining_data(system.exponents, system.alpha)
-    eta = coplanar_functional(system.exponents)
     want_analytic = args.mode in ("analytic", "both")
     want_empirical = args.mode in ("empirical", "both")
-    if want_analytic and not eta.present:
-        raise FroblipError("NotCoplanar: no analytic growth for this system")
     if args.theta:
         thetas = [tuple(_parse(float, t, "--theta")
                         for t in args.theta.split(","))]
@@ -132,7 +129,7 @@ def cmd_gamma(args) -> int:
         row = {"theta": theta, "gamma_analytic": None,
                "gamma_empirical": None, "stderr": None}
         if want_analytic:
-            row["gamma_analytic"] = analytic_gamma(data, eta, theta)
+            row["gamma_analytic"] = gamma(data, theta)
         if want_empirical:
             est = estimate_gamma(data, theta, k_max=args.k_max,
                                  k_count=args.k_count, table=table)

@@ -19,7 +19,11 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from . import ratlp
-from .errors import DimensionMismatch, FroblipError, NoHalfSpace
+from .errors import DimensionMismatch, FroblipError, NoHalfSpace, ResourceLimit
+
+# rays the double description may hold at once: a random cone of 40
+# generators in Z^8 has about 2700 facets, found in about 2 s
+FACET_BUDGET = 100_000
 
 
 def _dot(u, v) -> int:
@@ -47,7 +51,8 @@ def _double_description(rows, s):
     keeps the rays on its nonnegative side and adds one ray per adjacent
     pair across it.  Two rays are adjacent iff no third ray is tight at
     every row they share (the combinatorial test), and only pairs that
-    share at least (pointed dimension - 2) rows can be.
+    share at least (pointed dimension - 2) rows can be.  Holding more than
+    FACET_BUDGET rays raises ResourceLimit.
     """
     lin = [tuple(int(i == j) for j in range(s)) for i in range(s)]
     rays = []
@@ -82,6 +87,9 @@ def _double_description(rows, s):
                         for r, z in rays):
                     continue
                 kept.append((_cancel(cp, n, cn, p), common | bit))
+                if len(kept) > FACET_BUDGET:
+                    raise ResourceLimit(f"double description exceeds {FACET_BUDGET} "
+                                        f"rays (FACET_BUDGET)")
         rays = kept
     return lin, [r for r, _ in rays]
 
@@ -139,14 +147,6 @@ class Cone:
             if c:
                 return tuple(-v for v in e) if c > 0 else e
         return next((y for y in normals if _dot(y, x) < 0), None)
-
-
-def hull_cone(vectors: Sequence[Sequence[int]]) -> Cone:
-    """The cone over the points (X_j, 1): t is in the convex hull of the
-    X_j iff (t, 1) is in this cone, and the X_j on the minimal face of the
-    hull containing t are the lifted generators on the cone's minimal face
-    containing (t, 1)."""
-    return Cone(tuple(tuple(v) + (1,) for v in vectors))
 
 
 def cone_member(x: Sequence, c: Cone) -> bool:

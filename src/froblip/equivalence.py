@@ -234,24 +234,23 @@ def _permutation_witness(e: ContractionSystem, f: ContractionSystem,
 
 
 def _gamma_diagnostics(pair: _Pair) -> dict:
-    """Empirical growth comparison along a few shared interior directions."""
-    from .frobenius import estimate_gamma, make_defining_data
+    """Both sides' growth rates (``growth.gamma``) along the centroid of
+    e's points, over one joint basis."""
+    from .frobenius import make_defining_data
+    from .growth import gamma
 
     e2, f2 = pair.e2, pair.f2
     _, joint = reduce_to_pseudo_basis(
         e2.basis, list(e2.exponents) + list(f2.exponents))
     ve, vf = joint[: e2.m], joint[e2.m:]
-    de = make_defining_data(ve)
-    df = make_defining_data(vf)
     s = len(ve[0])
     centroid = [sum(v[i] for v in ve) / len(ve) for i in range(s)]
     norm = math.sqrt(sum(c * c for c in centroid))
     theta = tuple(c / norm for c in centroid)
-    ge = estimate_gamma(de, theta, k_max=60.0)
-    gf = estimate_gamma(df, theta, k_max=60.0)
-    return {"theta": list(theta), "gamma_e": ge.gamma_hat,
-            "gamma_f": gf.gamma_hat,
-            "gap": abs(ge.gamma_hat - gf.gamma_hat)}
+    ge = gamma(make_defining_data(ve), theta)
+    gf = gamma(make_defining_data(vf), theta)
+    return {"theta": list(theta), "gamma_e": ge, "gamma_f": gf,
+            "gap": abs(ge - gf)}
 
 
 def decide(e: ContractionSystem, f: ContractionSystem,

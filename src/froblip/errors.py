@@ -29,16 +29,8 @@ class GcdNotOne(FroblipError):
     """The 1-d Frobenius number requires coprime generators."""
 
 
-class TargetOutsideHull(FroblipError):
-    """Entropy maximization target is not in the convex hull."""
-
-
 class NotConverged(FroblipError):
-    """The entropy Newton solve stopped above its moment tolerance."""
-
-
-class NotCoplanar(FroblipError):
-    """The operation requires generators lying on a common hyperplane."""
+    """The growth-rate Newton solve stopped above its residual tolerance."""
 
 
 class BasisMismatch(FroblipError):

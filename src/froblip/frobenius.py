@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .cones import Cone, cone_member, half_space_certificate, hull_cone
+from .cones import Cone, cone_member, half_space_certificate
 from .errors import (
     DirectionOutsideCone,
     FroblipError,
@@ -28,9 +28,8 @@ from .errors import (
     ResourceLimit,
 )
 
-# float query points are snapped to this denominator; growth.max_entropy
-# then puts a snapped target exactly on the generators' affine hull, within
-# growth.HULL_SNAP_SLACK (see its docstring)
+# float query points and directions are snapped to this denominator, so
+# that cone membership and minimal faces are exact tests
 SNAP_DENOM = 2 ** 48
 R_CAP = 8  # nearest-point search radius cap (Euclidean)
 DEFAULT_POINT_BUDGET = 2_000_000
@@ -57,11 +56,6 @@ class DefiningData:
         """The cone of the vectors, kept so that its facets are computed
         once."""
         return Cone(tuple(self.vectors))
-
-    @cached_property
-    def hull(self) -> Cone:
-        """``cones.hull_cone`` of the vectors, kept likewise."""
-        return hull_cone(self.vectors)
 
     @cached_property
     def _in_cone(self) -> dict:
@@ -163,7 +157,8 @@ def build_multiplicity(data: DefiningData, bound,
     bound = Fraction(bound)
     if bound <= 0:
         raise FroblipError("bound must be positive")
-    over = f"multiplicity table exceeded {point_budget} lattice points"
+    over = (f"multiplicity table exceeded {point_budget} lattice points (raise "
+            f"point_budget; default DEFAULT_POINT_BUDGET = {DEFAULT_POINT_BUDGET})")
     counts, _ = _walk(data.vectors, data.alpha, point_budget, over, bound)
     return MultiplicityTable(data, bound, counts)
 
@@ -313,7 +308,7 @@ def frobenius_number_1d(a: Sequence[int]) -> int:
     a1 = min(a)
     if a1 > DEFAULT_POINT_BUDGET:
         raise ResourceLimit(f"smallest generator {a1} exceeds the budget of "
-                            f"{DEFAULT_POINT_BUDGET} residues")
+                            f"{DEFAULT_POINT_BUDGET} residues (DEFAULT_POINT_BUDGET)")
     n = [0] + [math.inf] * (a1 - 1)
     for v in a:
         d = math.gcd(a1, v)

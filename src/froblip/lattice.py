@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import DimensionMismatch, FroblipError, ParseError
@@ -102,10 +103,28 @@ class PseudoBasis:
 
     def alpha_real(self) -> tuple:
         """-(log b_1,...,log b_s), as log(denominator) - log(numerator)."""
+        return self._alpha_real
+
+    # Per-basis values that every threshold test of a cut walk reads:
+    # computed on first use and kept on this instance only.
+
+    @cached_property
+    def _alpha_real(self) -> tuple:
         if not self.is_numeric:
             raise FroblipError("symbolic basis has no numeric log values")
         return tuple(math.log(v.denominator) - math.log(v.numerator)
                      for v in self.values)
+
+    @cached_property
+    def denominator_bits(self) -> tuple:
+        """The bit lengths of the values' denominators."""
+        return tuple(v.denominator.bit_length() for v in self.values)
+
+    @cached_property
+    def log_brackets(self) -> list:
+        """``selfsimilar._Brackets`` of the values at 24, 48, 96, ...
+        digits, appended by ``selfsimilar._exceeds_exp`` as it needs them."""
+        return []
 
 
 def parse_rational(text: str) -> Fraction:

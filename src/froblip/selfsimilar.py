@@ -144,11 +144,11 @@ class _Brackets:
         return (lo > 0) - (hi < 0)
 
 
-def _brackets(values, cap: Optional[int] = DIGITS_CAP):
+def _brackets(values, cap: int = DIGITS_CAP):
     """_Brackets for the values at 24 digits, then twice as many each time,
-    ending at ``cap`` digits (never when ``cap`` is None)."""
+    ending at ``cap`` digits."""
     digits = 24
-    while cap is None or digits < cap:
+    while digits < cap:
         yield _Brackets(values, digits)
         digits *= 2
     yield _Brackets(values, cap)
@@ -248,7 +248,8 @@ def iterate(system: ContractionSystem, p: int,
     if p < 1:
         raise FroblipError("iteration order must be >= 1")
     if system.m ** p > budget:
-        raise ResourceLimit(f"iteration produces {system.m ** p} ratios")
+        raise ResourceLimit(f"iteration produces {system.m ** p} ratios, above {budget} "
+                            f"(raise budget; default ITERATION_BUDGET = {ITERATION_BUDGET})")
     if p == 1:
         return system
     ratios = []
@@ -260,13 +261,17 @@ def iterate(system: ContractionSystem, p: int,
                              system.delta, system.alpha)
 
 
-def _exceeds_exp(values, exponent, k: Fraction) -> bool:
-    """Whether values**exponent < e^{-k}, for rational values and k > 0.
+def _exceeds_exp(basis: PseudoBasis, exponent, k: Fraction) -> bool:
+    """Whether basis**exponent < e^{-k}, for a numeric basis and k > 0.
 
-    Its score -ln(values**exponent) is irrational (Lindemann-Weierstrass)
-    unless it is 0, so some bracket of the score leaves k."""
-    for br in _brackets(values, None):
-        lo, hi = br.score(exponent)
+    Its score -ln(basis**exponent) is irrational (Lindemann-Weierstrass)
+    unless it is 0, so some bracket of the score leaves k.  The brackets,
+    at twice the digits each time, are kept in ``basis.log_brackets``."""
+    known = basis.log_brackets
+    for i in itertools.count():
+        if i == len(known):
+            known.append(_Brackets(basis.values, 24 << i))
+        lo, hi = known[i].score(exponent)
         if lo > k or hi < k:
             return lo > k
 
@@ -296,11 +301,11 @@ def _ratio_below(system: ContractionSystem, exponent, t: Threshold) -> bool:
             return Fraction(exponent[0]) >= t.k
         basis, kf = system.basis, float(min(t.k, K_CAP))
         score = math.fsum(e * a for e, a in zip(exponent, basis.alpha_real()))
-        margin = SCORE_ERR * (kf + sum(abs(e) * v.denominator.bit_length()
-                                       for e, v in zip(exponent, basis.values)))
+        margin = SCORE_ERR * (kf + sum(abs(e) * b for e, b in
+                                       zip(exponent, basis.denominator_bits)))
         if abs(score - kf) > margin and (score < kf or t.k < K_CAP):
             return score > kf
-        return _exceeds_exp(basis.values, exponent, t.k)
+        return _exceeds_exp(basis, exponent, t.k)
     raise FroblipError(f"unsupported threshold {t!r}")
 
 
@@ -325,7 +330,8 @@ def cut_set(system: ContractionSystem, t: Threshold,
     the walk stops past 2 * word_budget.  The words are then read off the
     prefix points, letters in increasing order.
     """
-    over = f"cut-set exceeds {word_budget} words"
+    over = (f"cut-set exceeds {word_budget} words (raise word_budget; "
+            f"default DEFAULT_WORD_BUDGET = {DEFAULT_WORD_BUDGET})")
     _, cut = _walk(system.exponents, system.alpha, 2 * word_budget, over,
                    leaf=lambda z: _ratio_below(system, z, t))
     if sum(cut.values()) > word_budget:
@@ -353,7 +359,8 @@ def cut_multiset(system: ContractionSystem, t: Threshold,
     points are visited.
     """
     return _walk(system.exponents, system.alpha, point_budget,
-                 "cut-set point budget exceeded",
+                 f"cut-set point budget exceeded: over {point_budget} points (raise "
+                 f"point_budget; default DEFAULT_WORD_BUDGET = {DEFAULT_WORD_BUDGET})",
                  leaf=lambda z: _ratio_below(system, z, t))[1]
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import froblip
-from froblip import cli, frobenius, growth, serialize
+from froblip import cli, cones, frobenius, growth, selfsimilar, serialize
 from froblip.cli import main
 
 
@@ -148,18 +148,17 @@ def test_gamma_theta_outside_cone(tmp_path, capsys):
 @pytest.mark.parametrize("theta", [None, "1,1", "-1,1"])
 def test_gamma_both_tests_each_direction_once(tmp_path, capsys, monkeypatch,
                                               theta):
-    """analytic_gamma and estimate_gamma share one cone test per direction,
+    """growth.gamma and estimate_gamma share one cone test per direction,
     and a direction outside the cone still fails with the same message."""
     p = write(tmp_path, "line.json", {"rationals": ["1/4", "1/6", "1/9"]})
     tested = []
     real = frobenius.cone_member
 
     def counted(x, c):
-        if len(x) == 2:  # a direction, not a lifted hull point
-            tested.append(tuple(x))
+        tested.append(tuple(x))
         return real(x, c)
 
-    for module in (cli, frobenius, growth):
+    for module in (cli, frobenius):
         monkeypatch.setattr(module, "cone_member", counted)
     argv = ["gamma", p, "--both", "--k-max", "30"]
     argv += ["--dirs", "3"] if theta is None else [f"--theta={theta}"]
@@ -176,11 +175,13 @@ def test_gamma_both_tests_each_direction_once(tmp_path, capsys, monkeypatch,
 
 
 def test_gamma_analytic_noncoplanar_domain_error(tmp_path, capsys):
+    # {l^5, l} is not coplanar; its rate solves e^(-5 g) + e^(-g) = 1
     p = write(tmp_path, "sym.json",
               {"generators": ["l"], "monomials": [[5], [1]]})
-    assert main(["gamma", p, "--analytic"]) == 4
+    assert main(["gamma", p, "--analytic"]) == 0
     out = capsys.readouterr()
-    assert "NotCoplanar" in out.err
+    assert out.err == ""
+    assert out.out.splitlines()[-1] == "1.000000,0.281200,,"
 
 
 def test_gamma_sweep_above_3d_names_theta(tmp_path, capsys):
@@ -377,7 +378,7 @@ def test_gamma_tiny_and_huge_directions(tmp_path, capsys, theta):
 
 
 def test_gamma_nonconverged_exit_4(tmp_path, capsys, monkeypatch):
-    # no Newton step: the uniform start misses the target (1, 2) / 3
+    # no Newton step: lambda = 0 is not on sum_j e^(-lambda . X_j) = 1
     monkeypatch.setattr(growth, "MAX_NEWTON_ITERS", 0)
     s2 = write(tmp_path, "s2.json", {"rationals": ["1/2", "1/3"]})
     assert main(["gamma", s2, "--theta=1,2", "--analytic"]) == 4
@@ -385,6 +386,31 @@ def test_gamma_nonconverged_exit_4(tmp_path, capsys, monkeypatch):
     assert out.out == ""
     assert out.err.startswith("error: entropy solve along ")
     assert "residual" in out.err and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, budget, patch", [
+    (["frobenius1d", "2000003", "2000004"], "DEFAULT_POINT_BUDGET", None),
+    (["cutset", "{s}", "--exp-k", "30"], "DEFAULT_WORD_BUDGET", None),
+    (["multiplicity", "{s}", "--bound", "50"], "DEFAULT_POINT_BUDGET",
+     (frobenius.build_multiplicity, "__defaults__", (100,))),
+    (["matchable", "{s}", "{s}", "--exp-k", "12", "--search"],
+     "DEFAULT_WORD_BUDGET", (selfsimilar.cut_multiset, "__defaults__", (100,))),
+    (["gamma", "{s3}", "--analytic", "--theta=1,1,1"], "FACET_BUDGET",
+     (cones, "FACET_BUDGET", 3)),
+], ids=["frobenius1d", "cutset", "multiplicity", "matchable", "facets"])
+def test_budget_errors_name_their_constant(tmp_path, capsys, monkeypatch,
+                                           argv, budget, patch):
+    # small budgets stand in for the defaults where those take long to reach
+    paths = {"s": write(tmp_path, "s.json", {"rationals": ["1/2", "1/3"]}),
+             # exponents (1,0,1), (0,1,1), (1,1,0), (1,0,0): four facets
+             "s3": write(tmp_path, "s3.json",
+                         {"rationals": ["1/10", "1/15", "1/6", "1/2"]})}
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    assert main([a.format(**paths) for a in argv]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("error: ") and budget in out.err
 
 
 HEAVY = ("mpmath", "networkx", "numpy", "sympy")

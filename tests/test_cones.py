@@ -12,10 +12,10 @@ from froblip.cones import (
     cone_separation,
     coplanar_functional,
     half_space_certificate,
-    hull_cone,
     minimal_face,
 )
-from froblip.errors import DimensionMismatch, NoHalfSpace
+from froblip import cones
+from froblip.errors import DimensionMismatch, NoHalfSpace, ResourceLimit
 from froblip.lattice import integer_rank
 from lp_oracles import lp_cone_equal, lp_cone_member, lp_hull_member, lp_minimal_face
 
@@ -206,10 +206,20 @@ def test_facet_membership_matches_lp(gens, data):
     assert cone_member(half, c)
 
 
+def test_facet_budget_names_its_constant(monkeypatch):
+    # a square pyramid: four facets
+    pyramid = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
+    monkeypatch.setattr(cones, "FACET_BUDGET", 4)
+    assert len(Cone(pyramid).h_representation[1]) == 4
+    monkeypatch.setattr(cones, "FACET_BUDGET", 3)
+    with pytest.raises(ResourceLimit, match="exceeds 3 rays .FACET_BUDGET."):
+        Cone(pyramid).h_representation
+
+
 @given(integer_cones(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_minimal_face_matches_per_generator_lp(vectors, data):
-    hull = hull_cone(vectors)
+    hull = Cone(tuple(tuple(v) + (1,) for v in vectors))  # over (X_j, 1)
     picks = data.draw(st.lists(st.integers(0, len(vectors) - 1), min_size=1,
                                max_size=4))
     target = tuple(F(sum(vectors[j][i] for j in picks), len(picks))

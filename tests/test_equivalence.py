@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from froblip import equivalence, serialize
+from froblip import equivalence, frobenius, serialize
 from froblip.equivalence import (
     EQUIVALENT,
     NOT_EQUIVALENT,
@@ -485,6 +485,25 @@ def test_certificate_json_shape():
     b = build_system(["1/4"] * 4)
     v = decide(a, b)
     assert set(v.certificate) == {"p", "q", "permutation"}
+
+
+def test_diagnostics_solve_gamma_without_tables(monkeypatch):
+    # {u, v, uv} vs {u, v, u^2 v} at theta = (1, 1): sqrt(2) log(1 + sqrt 2)
+    # against 1.113354, from the dual formula and no multiplicity table
+    def no_table(*args, **kwargs):
+        raise AssertionError("a multiplicity table was built")
+
+    monkeypatch.setattr(frobenius, "build_multiplicity", no_table)
+    a = sym({"u": 1}, {"v": 1}, {"u": 1, "v": 1})
+    b = sym({"u": 1}, {"v": 1}, {"u": 2, "v": 1})
+    v = decide(a, b, diagnostics=True)
+    assert (v.result, v.reason) == (UNDECIDED, "OUTSIDE_DECIDABLE_FAMILIES")
+    d = v.diagnostics
+    assert d["theta"] == pytest.approx([math.sqrt(0.5)] * 2, abs=1e-15)
+    assert round(d["gamma_e"], 5) == 1.24645 and round(d["gamma_f"], 5) == 1.11335
+    assert d["gamma_e"] == pytest.approx(math.sqrt(2) * math.log(1 + math.sqrt(2)),
+                                         abs=1e-12)
+    assert d["gap"] == pytest.approx(d["gamma_e"] - d["gamma_f"], abs=1e-15)
 
 
 def test_demo_pair_outside_families_diagnostics():

@@ -178,7 +178,8 @@ def test_point_budget_is_the_table_size():
     data = make_defining_data(((1, 0), (0, 1), (1, 1)))
     size = len(build_multiplicity(data, 12).counts)
     assert len(build_multiplicity(data, 12, point_budget=size).counts) == size
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit, match=r"\(raise point_budget; default "
+                       r"DEFAULT_POINT_BUDGET = 2000000\)"):
         build_multiplicity(data, 12, point_budget=size - 1)
 
 
@@ -308,5 +309,5 @@ def test_frobenius_number_residue_budget(monkeypatch):
     monkeypatch.setattr(frobenius, "DEFAULT_POINT_BUDGET", 10)
     assert frobenius_number_1d([10, 11, 12]) == 49
     monkeypatch.setattr(frobenius, "DEFAULT_POINT_BUDGET", 9)
-    with pytest.raises(ResourceLimit, match="budget of 9 residues"):
+    with pytest.raises(ResourceLimit, match=r"budget of 9 residues \(DEFAULT_POINT_BUDGET\)"):
         frobenius_number_1d([10, 11, 12])

@@ -5,15 +5,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from froblip.cones import coplanar_functional, hull_cone
-from froblip.errors import NotConverged, NotCoplanar, TargetOutsideHull
-from froblip.frobenius import SNAP_DENOM, make_defining_data
+from froblip.cones import coplanar_functional
+from froblip.errors import DirectionOutsideCone, NotConverged
+from froblip.frobenius import _unit, make_defining_data
 from froblip import growth
-from froblip.growth import analytic_gamma, max_entropy
+from froblip.growth import gamma
+from froblip.lattice import Monomial
+from froblip.selfsimilar import build_system, iterate
 
-from lp_oracles import lp_minimal_face
+from lp_oracles import lp_cone_member, lp_minimal_face
 
 SQ2 = math.sqrt(2)
+BINOMIAL = ((1, 0), (0, 1))
+TRINOMIAL = ((2, 0), (1, 1), (0, 2))
 
 
 def _scan_max_entropy(weights, lo, hi, n=200_000):
@@ -28,135 +32,229 @@ def _scan_max_entropy(weights, lo, hi, n=200_000):
     return best
 
 
+def _gamma(vectors, theta):
+    return gamma(make_defining_data(vectors), theta)
+
+
+# On coplanar data (<eta, X_j> = 1) the primal form reads gamma(theta) =
+# (eta . theta) * H(theta / eta . theta), the maximal entropy of a mean on
+# the generators' hyperplane.  The max_entropy tests check that value.
+
 def test_max_entropy_uniform_center():
-    sol = max_entropy([(1, 0), (0, 1)], (0.5, 0.5))
-    assert abs(sol.value - math.log(2)) < 1e-10
-    assert all(abs(p - 0.5) < 1e-10 for p in sol.p)
-    assert sol.residual <= 1e-12
+    # eta = (1, 1): the unit diagonal has scale sqrt 2 and mean (1/2, 1/2)
+    assert abs(_gamma(BINOMIAL, (1.0, 1.0)) - SQ2 * math.log(2)) < 1e-10
 
 
 def test_max_entropy_trinomial_center():
     # frozen oracle: for {(2,0),(1,1),(0,2)} at mean (1,1) the maximizer
-    # is uniform (1/3 each) with entropy log 3
-    sol = max_entropy([(2, 0), (1, 1), (0, 2)], (1.0, 1.0))
-    assert abs(sol.value - math.log(3)) < 1e-10
-    assert all(abs(p - 1 / 3) < 1e-9 for p in sol.p)
+    # is uniform (1/3 each) with entropy log 3; the scale is 1/sqrt 2
+    assert abs(_gamma(TRINOMIAL, (1.0, 1.0)) - math.log(3) / SQ2) < 1e-10
 
 
 def test_max_entropy_asymmetric_closed_form():
-    # one-dimensional family {(0,), (1,)} at mean t: entropy of Bernoulli(t)
+    # the binomial at mean (t, 1 - t): entropy of Bernoulli(t), times the
+    # scale 1 / |(t, 1 - t)| of the unit direction
     for t in (0.1, 0.25, 0.5, 0.9):
-        sol = max_entropy([(0,), (1,)], (t,))
         expect = -t * math.log(t) - (1 - t) * math.log(1 - t)
-        assert abs(sol.value - expect) < 1e-10
+        assert abs(_gamma(BINOMIAL, (t, 1 - t)) * math.hypot(t, 1 - t)
+                   - expect) < 1e-10
 
 
 def test_max_entropy_vertex_target():
-    sol = max_entropy([(1, 0), (0, 1)], (1.0, 0.0))
-    assert sol.value == 0.0
-    assert sol.p == (1.0, 0.0)
+    # a lone generator on the ray: one word per point, no growth
+    assert _gamma(BINOMIAL, (1.0, 0.0)) == 0.0
+    assert _gamma(((1, 0), (0, 1), (1, 1)), (0.0, 3.0)) == 0.0
 
 
 def test_max_entropy_boundary_face():
-    # target on the edge between (2,0) and (0,2) excludes the interior
-    # vector only if it cannot carry weight; here (1,1) lies on that edge,
-    # so all three remain active -- compare against the interior solver
-    sol = max_entropy([(2, 0), (1, 1), (0, 2)], (0.5, 1.5))
+    # the mean (1/2, 3/2) lies on the segment between (2,0) and (0,2), and
+    # (1,1) lies on it too, so all three carry weight
+    g = _gamma(TRINOMIAL, (1.0, 3.0))
     # oracle: the feasible set is the segment p = (t, 0.5-2t, 0.5+t) for
-    # t in [0, 0.25]; scan it finely
+    # t in [0, 0.25]; scan it finely.  The scale is 2 / sqrt 10.
     best = _scan_max_entropy(lambda t: (t, 0.5 - 2 * t, 0.5 + t), 0.0, 0.25)
-    assert abs(sol.value - best) < 1e-7
-    assert sol.residual <= 1e-9
+    assert abs(g * math.sqrt(10) / 2 - best) < 1e-7
 
 
 def test_max_entropy_duplicate_vectors():
-    # duplicates add log-multiplicity: {(1,),(1,)} at mean 1 gives log 2
-    sol = max_entropy([(1,), (1,)], (1.0,))
-    assert abs(sol.value - math.log(2)) < 1e-10
+    # duplicates add log-multiplicity: {(1,),(1,)} grows like 2^k
+    assert abs(_gamma(((1,), (1,)), (1.0,)) - math.log(2)) < 1e-10
 
 
-def test_max_entropy_outside_hull():
-    # float offsets beyond the snap slack are real, not rounding; an exact
-    # target one grid step off the hull is rejected as given
-    for target in [(1.0, 1.0), (0.4, 0.6 + 1e-9), (0.3, 0.7 + 1e-13),
-                   (Fraction(1, 2), Fraction(1, 2) + Fraction(1, SNAP_DENOM))]:
-        with pytest.raises(TargetOutsideHull):
-            max_entropy([(1, 0), (0, 1)], target)
+def test_gamma_direction_outside_cone():
+    for vectors, theta in [(BINOMIAL, (-1.0, 1.0)), (BINOMIAL, (1.0, -1e-9)),
+                           (((1, 1), (1, 2)), (1.0, 0.0)),
+                           (((1, 0), (2, 0)), (1.0, 1.0))]:
+        with pytest.raises(DirectionOutsideCone):
+            _gamma(vectors, theta)
 
 
 def test_max_entropy_float_target_snapped_off_hull():
-    # (2t, 2-2t) lies on the hull's line x + y = 2, but its coordinates
-    # snap to 2^-48 one by one and the snapped sum is not 2; the target
-    # must be put back on the line, not rejected
+    # (2t, 2-2t) lies on the hull's line x + y = 2, but its unit direction
+    # snaps to 2^-48 coordinate by coordinate; the solve needs no hull point
     t = 0.41163513999128915
-    sol = max_entropy([(2, 0), (1, 1), (0, 2)], (2 * t, 2 - 2 * t))
+    g = _gamma(TRINOMIAL, (2 * t, 2 - 2 * t))
     # oracle: the feasible set is the segment p = (u, 2t-2u, 1-2t+u) for
-    # u in [0, t]; scan it finely
+    # u in [0, t]; scan it finely.  The scale is 1 / |(2t, 2-2t)|.
     best = _scan_max_entropy(lambda u: (u, 2 * t - 2 * u, 1 - 2 * t + u),
                              0.0, t)
-    assert abs(sol.value - best) < 1e-7
-    assert sol.residual <= 1e-12
+    assert abs(g * math.hypot(2 * t, 2 - 2 * t) - best) < 1e-7
+
+
+def _system_gamma(ratios, theta):
+    s = build_system(ratios)
+    return gamma(make_defining_data(s.exponents, s.alpha), theta)
 
 
 def test_analytic_gamma_binomial():
-    data = make_defining_data(((1, 0), (0, 1)))
-    eta = coplanar_functional(data.vectors)
-    g = analytic_gamma(data, eta, (1.0, 1.0))
-    assert abs(g - SQ2 * math.log(2)) < 1e-10
+    # (1/2, 1/3) has exponents (1,0), (0,1) over the basis (1/2, 1/3)
+    assert abs(_system_gamma(["1/2", "1/3"], (1.0, 1.0)) - SQ2 * math.log(2)) < 1e-10
 
 
 def test_analytic_gamma_trinomial_diagonal():
-    data = make_defining_data(((2, 0), (1, 1), (0, 2)))
-    eta = coplanar_functional(data.vectors)
-    g = analytic_gamma(data, eta, (1.0, 1.0))
-    # scale = eta.(1,1)/sqrt2 = 1/sqrt2, target (1,1), entropy log 3
-    assert abs(g - math.log(3) / SQ2) < 1e-10
+    # (1/4, 1/6, 1/9) has exponents (2,0), (1,1), (0,2): scale 1/sqrt2,
+    # target (1,1), entropy log 3
+    assert abs(_system_gamma(["1/4", "1/6", "1/9"], (1.0, 1.0))
+               - math.log(3) / SQ2) < 1e-10
 
 
-def test_analytic_gamma_requires_coplanar():
-    data = make_defining_data(((5,), (3,)))
-    eta = coplanar_functional(data.vectors)
-    with pytest.raises(NotCoplanar):
-        analytic_gamma(data, eta, (1.0,))
+def test_gamma_noncoplanar_rank_one():
+    # {l^5, l}: lambda solves e^(-5 lambda) + e^(-lambda) = 1
+    g = _gamma(((5,), (1,)), (1.0,))
+    assert f"{g:.6f}" == "0.281200"
+    assert abs(math.exp(-5 * g) + math.exp(-g) - 1) < 1e-12
 
 
 def test_analytic_gamma_concavity_along_arc():
-    # gamma is concave on directions scaled to the hyperplane; check the
-    # midpoint inequality on hyperplane targets
-    data = make_defining_data(((1, 0), (0, 1)))
-    vals = {}
-    for t in (0.3, 0.4, 0.5):
-        sol = max_entropy(data.vectors, (t, 1 - t))
-        vals[t] = sol.value
-    assert vals[0.4] >= (vals[0.3] + vals[0.5]) / 2 - 1e-9
+    # gamma is a minimum of linear functions of theta, so it is concave
+    # and positively homogeneous: superadditive on unnormalized directions
+    for vectors in (BINOMIAL, ((1, 0), (0, 1), (1, 1)), ((1, 0), (0, 1), (3, 1))):
+        data = make_defining_data(vectors)
+
+        def rate(theta):
+            return math.hypot(*theta) * gamma(data, theta)
+
+        for a, b in [((0.3, 0.7), (0.5, 0.5)), ((0.9, 0.2), (0.2, 0.9)),
+                     ((1.0, 0.4), (1.0, 0.6))]:
+            mid = tuple(x + y for x, y in zip(a, b))
+            assert rate(mid) >= rate(a) + rate(b) - 1e-9
 
 
 def test_analytic_gamma_iteration_invariance():
     # second iteration of {(1,0),(0,1)} is {(2,0),(1,1),(1,1),(0,2)};
     # gamma must be identical in every direction
-    data1 = make_defining_data(((1, 0), (0, 1)))
+    data1 = make_defining_data(BINOMIAL)
     data2 = make_defining_data(((2, 0), (1, 1), (1, 1), (0, 2)))
-    eta1 = coplanar_functional(data1.vectors)
-    eta2 = coplanar_functional(data2.vectors)
     for theta in [(1.0, 1.0), (1.0, 2.0), (3.0, 1.0), (1.0, 0.2)]:
-        g1 = analytic_gamma(data1, eta1, theta)
-        g2 = analytic_gamma(data2, eta2, theta)
-        assert abs(g1 - g2) < 1e-8
+        assert abs(gamma(data1, theta) - gamma(data2, theta)) < 1e-8
 
 
-def _numpy_max_entropy(vectors, target):
-    """Oracle: the damped Newton solve on numpy that max_entropy used
-    before, in the full coordinates with a least-squares step; it returns
-    (p, value, residual)."""
-    point = growth._hull_point(vectors, target, hull_cone(vectors))
+def test_gamma_iteration_invariance_noncoplanar():
+    # sum over words of length p of e^(-lambda . X_w) is (sum_j ...)^p, so
+    # the constraint set, and gamma, do not change under iteration
+    u, v = Monomial.generator("u"), Monomial.generator("v")
+    for ratios in ([u, v, u * v], [u, v, u * u * v], [u * v, u ** 3, v * v]):
+        e = build_system(ratios)
+        assert not coplanar_functional(e.exponents).present
+        data = make_defining_data(e.exponents, e.alpha)
+        e2 = iterate(e, 2)
+        data2 = make_defining_data(e2.exponents, e2.alpha)
+        for theta in [(1.0, 1.0), (2.0, 1.0), (1.0, 0.7)]:
+            try:
+                g = gamma(data, theta)
+            except DirectionOutsideCone:
+                with pytest.raises(DirectionOutsideCone):
+                    gamma(data2, theta)
+                continue
+            assert gamma(data2, theta) == pytest.approx(g, abs=1e-10)
+
+
+def test_gamma_boundary_faces_and_rank_one():
+    # a lone generator on the ray grows not at all
+    assert _gamma(((1, 0), (0, 1), (1, 1)), (1.0, 0.0)) == 0.0
+    # the ray of (1,0) and (2,0), alone or as a face: x + x^2 = 1 at x = 1/phi
+    phi = (1 + math.sqrt(5)) / 2
+    for vectors in (((1, 0), (2, 0)), ((1, 0), (2, 0), (0, 1)),
+                    ((1, 0), (2, 0), (1, 3))):
+        g = _gamma(vectors, (1.0, 0.0))
+        assert abs(g - math.log(phi)) < 1e-12
+        assert f"{g:.6f}" == "0.481212"
+    assert f"{_gamma(((5,), (1,)), (1.0,)):.6f}" == "0.281200"
+
+
+def _kraft_root(a):
+    """t > 0 with sum_j exp(-t a_j) = 1, for a_j > 0: the left side is
+    convex and decreasing, so Newton's steps from 0 rise to the root."""
+    t = 0.0
+    while True:
+        nxt = t + (sum(math.exp(-t * x) for x in a) - 1) / sum(
+            x * math.exp(-t * x) for x in a)
+        if not nxt > t:
+            return t
+        t = nxt
+
+
+def ray_scan_gamma(vectors, theta, n=400):
+    """Oracle in 2-D: the minimum over unit u with u . X_j > 0 for every j
+    of t(u) u . theta, where t(u) is the root of sum_j e^(-t u . X_j) = 1;
+    a scan of the open arc of such u, refined by golden-section search."""
+    norm = math.hypot(*theta)
+    theta = (theta[0] / norm, theta[1] / norm)
+    normals = [math.atan2(v[1], v[0]) for v in vectors]
+    lo, hi = max(normals) - math.pi / 2, min(normals) + math.pi / 2
+
+    def f(phi):
+        u = (math.cos(phi), math.sin(phi))
+        return (_kraft_root([u[0] * v[0] + u[1] * v[1] for v in vectors])
+                * (u[0] * theta[0] + u[1] * theta[1]))
+
+    eps = (hi - lo) * 1e-9
+    grid = [lo + eps + (hi - lo - 2 * eps) * i / n for i in range(n + 1)]
+    k = min(range(n + 1), key=lambda i: f(grid[i]))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, n)]
+    g = (math.sqrt(5) - 1) / 2
+    for _ in range(100):
+        c, d = b - g * (b - a), a + g * (b - a)
+        a, b = (a, d) if f(c) < f(d) else (c, b)
+    return f((a + b) / 2)
+
+
+def test_gamma_matches_dual_ray_scan():
+    # the two pinned values: sqrt(2) log(1 + sqrt 2) for {u, v, uv}
+    assert abs(_gamma(((1, 0), (0, 1), (1, 1)), (1.0, 1.0))
+               - SQ2 * math.log(1 + SQ2)) < 1e-12
+    for vectors, want in [(((1, 0), (0, 1), (1, 1)), 1.246450),
+                          (((1, 0), (0, 1), (2, 1)), 1.113354)]:
+        g = _gamma(vectors, (1.0, 1.0))
+        assert abs(g - ray_scan_gamma(vectors, (1.0, 1.0))) < 1e-6
+        assert abs(g - want) < 5e-7
+    rng = random.Random(3)
+    checked = 0
+    while checked < 40:
+        vectors = [(rng.randint(0, 4), rng.randint(0, 4))
+                   for _ in range(rng.randint(2, 5))]
+        if not all(any(v) for v in vectors) or len(set(vectors)) < 2:
+            continue
+        w = [rng.random() + 0.05 for _ in vectors]
+        theta = tuple(sum(wj * v[i] for wj, v in zip(w, vectors)) for i in range(2))
+        try:
+            data = make_defining_data(vectors)
+        except Exception:  # no open half-space holds them
+            continue
+        assert abs(gamma(data, theta) - ray_scan_gamma(vectors, theta)) < 1e-6
+        checked += 1
+
+
+def _numpy_max_entropy(vectors, point):
+    """Oracle: the maximal entropy of a probability vector p with sum_j p_j
+    X_j = point, for an exact point of the hull.  Damped Newton on numpy,
+    in the full coordinates with a least-squares step, over the support
+    that ``lp_minimal_face`` finds; returns (value, residual, support)."""
     support = lp_minimal_face(vectors, point)
-    m = len(vectors)
     X = np.array([vectors[j] for j in support], dtype=float)
     v = np.array([float(t) for t in point], dtype=float)
     if len(support) == 1:
-        p_full = np.zeros(m)
-        p_full[support[0]] = 1.0
-        return tuple(p_full), 0.0, 0.0
+        return 0.0, 0.0, support
     beta = np.zeros(X.shape[1])
 
     def moments(b):
@@ -168,8 +266,8 @@ def _numpy_max_entropy(vectors, target):
 
     p, mu = moments(beta)
     res = float(np.max(np.abs(mu - v)))
-    for _ in range(growth.MAX_NEWTON_ITERS):
-        if res <= growth.MOMENT_TOL:
+    for _ in range(80):
+        if res <= 1e-12:
             break
         cov = (X.T * p) @ X - np.outer(mu, mu)
         step = -np.linalg.lstsq(cov, mu - v, rcond=None)[0]
@@ -184,81 +282,83 @@ def _numpy_max_entropy(vectors, target):
             break
         beta = beta + t * step
         p, mu, res = p_new, mu_new, res_new
-    p_full = np.zeros(m)
-    for j, pj in zip(support, p):
-        p_full[j] = pj
     nz = p[p > 0]
-    return tuple(p_full), float(-np.sum(nz * np.log(nz))), res
+    return float(-np.sum(nz * np.log(nz))), res, support
 
 
-def _entropy_cases():
-    """Seeded generator sets in dimensions 1-3 with targets in the
-    interior of the hull or on a face of it (a vertex, or the midpoint of
-    two generators, which need not be an edge), some with duplicate
-    vectors, and collinear sets in dimensions 2 and 3."""
+def _coplanar_cases():
+    """Seeded coplanar generator sets in dimensions 1-3: points of w . x = c
+    for positive integer weights w, collinear ones among them in dimension
+    3, some with duplicates.  The directions run through a weighted mean or
+    the midpoint of two generators, or through a vertex or an edge of the
+    simplex x_1 + ... + x_s = c, whose corners c e_i are then generators:
+    such a direction stays on its face when it is snapped."""
     rng = random.Random(11)
     for trial in range(240):
-        s = trial % 3 + 1
-        if trial % 8 == 7:  # collinear: a + i d for a few i
-            a = [rng.randint(0, 3) for _ in range(s)]
-            d = [rng.randint(-2, 2) for _ in range(s)]
-            vectors = [tuple(x + i * y for x, y in zip(a, d))
-                       for i in rng.sample(range(5), rng.randint(2, 4))]
-        else:
-            vectors = [tuple(rng.randint(0, 4) for _ in range(s))
-                       for _ in range(rng.randint(2, 6))]
-        if trial % 5 == 0:
+        s, kind = trial % 3 + 1, trial % 4
+        w = [1] * s if kind < 2 else [rng.randint(1, 2) for _ in range(s)]
+        c = rng.randint(2, 8)
+        plane = [x for x in np.ndindex(*(c + 1,) * s)
+                 if sum(a * b for a, b in zip(w, x)) == c]
+        if not plane:
+            continue
+        if s == 3 and trial % 8 == 7:  # collinear: a + i d with w . d = 0
+            a = rng.choice(plane)
+            d = (w[1], -w[0], 0)
+            plane = [x for x in plane
+                     if any(x == tuple(p + i * q for p, q in zip(a, d))
+                            for i in range(-c, c + 1))]
+        vectors = [tuple(map(int, x)) for x in
+                   rng.sample(plane, min(len(plane), rng.randint(2, 6)))]
+        if len(vectors) == 1 or trial % 5 == 0:
             vectors.append(rng.choice(vectors))
-        kind = trial % 4
-        if kind == 0:
-            target = vectors[rng.randrange(len(vectors))]
-        elif kind == 1:
-            i, j = rng.sample(range(len(vectors)), 2)
-            target = [Fraction(x + y, 2) for x, y in zip(vectors[i], vectors[j])]
+        if kind < 2 and s > 1:
+            corners = rng.sample(range(s), kind + 1)
+            vectors += [tuple(c * (i == k) for i in range(s)) for k in corners]
+            theta = [float(i in corners) for i in range(s)]
+        elif kind == 2:
+            weights = [rng.randint(1, 9) ** 3 for _ in vectors]
+            theta = [sum(wj * v[i] for wj, v in zip(weights, vectors))
+                     for i in range(s)]
         else:
-            w = [Fraction(rng.randint(1, 9) ** 3) for _ in vectors]
-            target = [sum(wj * v[i] for wj, v in zip(w, vectors)) / sum(w)
-                      for i in range(s)]
-            if kind == 3:
-                target = [float(t) for t in target]
-        yield vectors, tuple(target)
+            i, j = rng.sample(range(len(vectors)), 2)
+            theta = [x + y for x, y in zip(vectors[i], vectors[j])]
+        yield vectors, tuple(map(float, theta))
 
 
 def test_max_entropy_matches_numpy_newton():
+    """gamma on coplanar data is (eta . theta) times the maximal entropy at
+    theta / (eta . theta), at the snapped direction the cone test sees."""
     faces = dims = 0
-    for vectors, target in _entropy_cases():
-        sol = max_entropy(vectors, target)
-        p, value, residual = _numpy_max_entropy(vectors, target)
-        assert sol.p == pytest.approx(p, rel=0, abs=1e-12), (vectors, target)
-        assert sol.value == pytest.approx(value, rel=0, abs=1e-12)
-        assert sol.residual == pytest.approx(residual, rel=0, abs=1e-12)
-        assert sol.residual <= growth.MOMENT_TOL
-        # beta has one entry per coordinate and p_j is proportional to
-        # exp(beta . X_j) over the active support
-        assert len(sol.beta) == len(target)
-        logits = [sum(b * x for b, x in zip(sol.beta, vectors[j]))
-                  for j in sol.active_support]
-        w = [math.exp(t - max(logits)) for t in logits]
-        assert [sol.p[j] for j in sol.active_support] == \
-            pytest.approx([x / sum(w) for x in w], rel=0, abs=1e-12)
-        faces += len(set(sol.active_support)) < len(vectors)
-        dims += len({vectors[j] for j in sol.active_support}) == 1
+    for vectors, theta in _coplanar_cases():
+        data = make_defining_data(vectors)
+        snapped = _unit(theta)[1]
+        if not lp_cone_member(snapped, vectors):
+            with pytest.raises(DirectionOutsideCone):
+                gamma(data, theta)
+            continue
+        eta = coplanar_functional(vectors).eta
+        scale = sum(Fraction(e) * t for e, t in zip(eta, snapped))
+        value, residual, support = _numpy_max_entropy(
+            vectors, [t / scale for t in snapped])
+        assert residual <= 1e-12
+        assert gamma(data, theta) == pytest.approx(float(scale) * value,
+                                                   rel=0, abs=1e-9), (vectors, theta)
+        faces += len(support) < len(vectors)
+        dims += len({vectors[j] for j in support}) == 1
     # the sample reaches faces smaller than the hull and 0-dimensional ones
     assert faces > 40 and dims > 20
 
 
 def test_max_entropy_zero_dimensional_face_is_uniform():
-    sol = max_entropy([(2, 1), (1, 3), (2, 1), (2, 1)], (2, 1))
-    assert sol.active_support == (0, 2, 3)
-    assert sol.p == (1 / 3, 0.0, 1 / 3, 1 / 3)
-    assert sol.value == pytest.approx(math.log(3), abs=1e-15)
-    assert sol.beta == (0.0, 0.0) and sol.residual <= 1e-15
+    # three copies of (1,1) on the ray: 3^k words reach k (1,1)
+    g = _gamma(((1, 1), (1, 3), (1, 1), (1, 1)), (1.0, 1.0))
+    assert g == pytest.approx(math.log(3) / SQ2, abs=1e-15)
 
 
 def test_analytic_gamma_raises_when_not_converged(monkeypatch):
-    data = make_defining_data(((1, 0), (0, 1)))
-    eta = coplanar_functional(data.vectors)
     monkeypatch.setattr(growth, "MAX_NEWTON_ITERS", 0)
-    assert analytic_gamma(data, eta, (1.0, 1.0)) == pytest.approx(SQ2 * math.log(2))
+    # lambda = 0 solves a lone generator's face; anything else needs a step
+    assert _gamma(BINOMIAL, (1.0, 0.0)) == 0.0
     with pytest.raises(NotConverged, match="residual"):
-        analytic_gamma(data, eta, (1.0, 2.0))
+        _gamma(BINOMIAL, (1.0, 1.0))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from froblip.cones import coplanar_functional
 from froblip.errors import FroblipError
 from froblip.frobenius import build_multiplicity, make_defining_data
-from froblip.growth import max_entropy
+from froblip.growth import gamma
 from froblip.lattice import (
     factor_rationals,
     integer_rank,
@@ -92,10 +92,11 @@ def test_multiplicity_permutation_invariance(vectors, perm):
 @example(t=0.41048371439560144)
 @settings(max_examples=40, deadline=None)
 def test_coplanar_entropy_exactness(t):
-    # binomial family: closed-form Bernoulli entropy
-    sol = max_entropy([(1, 0), (0, 1)], (t, 1 - t))
+    # binomial family: closed-form Bernoulli entropy, times the scale
+    # 1 / |(t, 1 - t)| of the unit direction
+    g = gamma(make_defining_data([(1, 0), (0, 1)]), (t, 1 - t))
     expect = -t * math.log(t) - (1 - t) * math.log(1 - t)
-    assert abs(sol.value - expect) < 1e-9
+    assert abs(g * math.hypot(t, 1 - t) - expect) < 1e-9
 
 
 @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),

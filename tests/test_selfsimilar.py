@@ -404,6 +404,19 @@ def test_cut_walk_refuses_huge_exp_threshold():
         cut_multiset(s, t, point_budget=100)
 
 
+def test_budget_errors_name_constant_and_keyword():
+    s = build_system(["1/2", "1/3", "1/5"])
+    with pytest.raises(ResourceLimit, match=r"243 ratios, above 100 \(raise budget; "
+                       r"default ITERATION_BUDGET = 1000000\)"):
+        iterate(s, 5, budget=100)
+    with pytest.raises(ResourceLimit, match=r"over 100 points \(raise point_budget; "
+                       r"default DEFAULT_WORD_BUDGET = 500000\)"):
+        cut_multiset(s, ExpThreshold(20), point_budget=100)
+    with pytest.raises(ResourceLimit, match=r"\(raise word_budget; "
+                       r"default DEFAULT_WORD_BUDGET = 500000\)"):
+        cut_set(s, ExpThreshold(20), word_budget=100)
+
+
 def test_cut_set_refuses_before_building_words(monkeypatch):
     # about 10^10 words at e^{-30}, on some 600 points: refused from the
     # per-point counts, before any word is built (500000 words of some 30
@@ -438,7 +451,8 @@ def test_deep_cut_set_is_bounded():
     # 2 * word_budget points
     proc = subprocess.run([sys.executable, "-c", DEEP_CUT_SCRIPT], env=_env(),
                           capture_output=True, text=True, timeout=20, check=True)
-    assert proc.stdout == "cut-set exceeds 100 words\n"
+    assert proc.stdout == ("cut-set exceeds 100 words (raise word_budget; "
+                           "default DEFAULT_WORD_BUDGET = 500000)\n")
 
 
 def test_common_basis_numeric():
