@@ -8,12 +8,10 @@ decider for dust-like self-similar sets.
 """
 from .cones import (
     Cone,
-    CoplanarFunctional,
     HalfSpaceCertificate,
     cone_equal,
     cone_member,
     cone_separation,
-    coplanar_functional,
     half_space_certificate,
     minimal_face,
 )
@@ -52,6 +50,7 @@ from .growth import gamma
 from .lattice import (
     Monomial,
     PseudoBasis,
+    coplanar,
     factor_rationals,
     parse_rational,
     reduce_to_pseudo_basis,
@@ -79,7 +78,6 @@ __all__ = [
     "BasisMismatch",
     "Cone",
     "ContractionSystem",
-    "CoplanarFunctional",
     "CutSet",
     "DefiningData",
     "DimensionMismatch",
@@ -110,7 +108,7 @@ __all__ = [
     "cone_equal",
     "cone_member",
     "cone_separation",
-    "coplanar_functional",
+    "coplanar",
     "cut_multiset",
     "cut_set",
     "decide",

@@ -17,7 +17,7 @@ from . import serialize
 from .cones import cone_member
 from .equivalence import EQUIVALENT, NOT_EQUIVALENT, decide
 from .errors import FroblipError, ParseError, ResourceLimit
-from .frobenius import _check_radii, _snap, _unit
+from .frobenius import _check_radii, _unit
 from .frobenius import (
     build_multiplicity,
     estimate_gamma,
@@ -90,7 +90,7 @@ def _sweep_directions(data, n: int):
         r = math.sqrt(max(1 - z * z, 0.0))
         phi = 2 * math.pi * i / golden
         v = (r * math.cos(phi), r * math.sin(phi), z)
-        if cone_member(tuple(_snap(x) for x in v), data.cone):
+        if cone_member(v, data.cone):
             out.append(v)
             if len(out) == n:
                 break
@@ -111,14 +111,13 @@ def cmd_gamma(args) -> int:
     want_analytic = args.mode in ("analytic", "both")
     want_empirical = args.mode in ("empirical", "both")
     if args.theta:
-        thetas = [tuple(_parse(float, t, "--theta")
+        thetas = [tuple(_parse(Fraction, t, "--theta")
                         for t in args.theta.split(","))]
         if len(thetas[0]) != system.dim:
             raise FroblipError(f"--theta has {len(thetas[0])} components, but "
                                f"the system has dimension {system.dim}")
     else:
         thetas = _sweep_directions(data, args.dirs)
-    thetas = [_unit(th)[0] for th in thetas]
     table = None
     if want_empirical:  # one table, deep enough for every direction
         _check_radii(args.k_max, args.k_count)
@@ -126,7 +125,7 @@ def cmd_gamma(args) -> int:
             gamma_table_bound(data, th, args.k_max) for th in thetas))
     rows = []
     for theta in thetas:
-        row = {"theta": theta, "gamma_analytic": None,
+        row = {"theta": _unit(theta), "gamma_analytic": None,
                "gamma_empirical": None, "stderr": None}
         if want_analytic:
             row["gamma_analytic"] = gamma(data, theta)
@@ -212,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directions in a sweep without --theta; a 3-D sweep "
                         "prints at most this many, the points of a 40*DIRS "
                         "Fibonacci-sphere grid that lie in the cone")
-    g.add_argument("--theta", help="comma-separated direction components")
+    g.add_argument("--theta", help="comma-separated direction components, "
+                                   "read exactly: decimals or p/q")
     g.add_argument("--analytic", dest="mode", action="store_const",
                    const="analytic", default="both")
     g.add_argument("--empirical", dest="mode", action="store_const",

@@ -5,8 +5,9 @@ the double-description method (Fukuda & Prodon, "Double description
 method revisited", 1996) in integer arithmetic: integer equalities that
 span the orthogonal complement of the generators, and primitive integer
 facet normals.  Membership, cone equality and minimal faces are then
-integer sign tests.  Strict half-space certificates stay exact rational
-LPs, and coplanarity functionals are exact rational linear algebra.
+integer sign tests of the exact point asked about (a float is the
+rational it stores).  Strict half-space certificates stay exact rational
+LPs; coplanarity is an integer rank test, ``lattice.coplanar``.
 Generators are integer exponent vectors; since the data is integral,
 rational and real feasibility coincide for every question asked here.
 """
@@ -224,42 +225,3 @@ def half_space_certificate(c: Cone) -> HalfSpaceCertificate:
         raise NoHalfSpace("generators admit no open half-space")
     alpha = tuple(x[i] - x[s + i] for i in range(s))
     return HalfSpaceCertificate(alpha)
-
-
-@dataclass(frozen=True)
-class CoplanarFunctional:
-    """Rational eta with <eta, g> == 1 for every generator, if one exists."""
-
-    eta: Optional[tuple]
-
-    @property
-    def present(self) -> bool:
-        return self.eta is not None
-
-
-def coplanar_functional(vectors: Sequence[Sequence[int]]) -> CoplanarFunctional:
-    """Solve <eta, X_j> = 1 exactly over the rationals.
-
-    Returns the minimum-norm solution within the row space of the vectors
-    (eta = A^T c with A A^T c = 1), or an absent functional when the system
-    is inconsistent.
-    """
-    if not vectors:
-        raise FroblipError("empty vector list")
-    s = len(vectors[0])
-    for v in vectors:
-        if len(v) != s:
-            raise DimensionMismatch("vectors of mixed dimension")
-    m = len(vectors)
-    gram = [
-        [Fraction(sum(int(a) * int(b) for a, b in zip(vectors[i], vectors[j])))
-         for j in range(m)]
-        for i in range(m)
-    ]
-    c = ratlp.solve_linear(gram, [Fraction(1)] * m)
-    if c is None:
-        return CoplanarFunctional(None)
-    eta = tuple(
-        sum(c[j] * vectors[j][i] for j in range(m)) for i in range(s)
-    )
-    return CoplanarFunctional(eta)

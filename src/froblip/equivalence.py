@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cones import cone_separation, coplanar_functional
+from .cones import cone_separation
 from .errors import IncompatibleSymbolicBases, ResourceLimit
-from .lattice import factor_integer, integer_rank, reduce_to_pseudo_basis
+from .lattice import coplanar, factor_integer, integer_rank, reduce_to_pseudo_basis
 from .selfsimilar import (ITERATION_BUDGET, ContractionSystem, _brackets, _root,
                           common_basis, iterate)
 
@@ -235,21 +235,19 @@ def _permutation_witness(e: ContractionSystem, f: ContractionSystem,
 
 def _gamma_diagnostics(pair: _Pair) -> dict:
     """Both sides' growth rates (``growth.gamma``) along the centroid of
-    e's points, over one joint basis."""
-    from .frobenius import make_defining_data
+    e's points, over one joint basis.  The exact sum of the points is the
+    direction, so a centroid on a face of the cone stays on it."""
+    from .frobenius import _unit, make_defining_data
     from .growth import gamma
 
     e2, f2 = pair.e2, pair.f2
     _, joint = reduce_to_pseudo_basis(
         e2.basis, list(e2.exponents) + list(f2.exponents))
     ve, vf = joint[: e2.m], joint[e2.m:]
-    s = len(ve[0])
-    centroid = [sum(v[i] for v in ve) / len(ve) for i in range(s)]
-    norm = math.sqrt(sum(c * c for c in centroid))
-    theta = tuple(c / norm for c in centroid)
-    ge = gamma(make_defining_data(ve), theta)
-    gf = gamma(make_defining_data(vf), theta)
-    return {"theta": list(theta), "gamma_e": ge, "gamma_f": gf,
+    centroid = [sum(column) for column in zip(*ve)]
+    ge = gamma(make_defining_data(ve), centroid)
+    gf = gamma(make_defining_data(vf), centroid)
+    return {"theta": list(_unit(centroid)), "gamma_e": ge, "gamma_f": gf,
             "gap": abs(ge - gf)}
 
 
@@ -272,9 +270,10 @@ def decide(e: ContractionSystem, f: ContractionSystem,
 
     Special cases need no stage of their own: equal ratio multisets are the
     identity at (1, 1); axis-supported points (one value c_i on each axis
-    i) and independent points are coplanar (eta_i = 1/c_i, or eta solving
-    <eta, X_j> = 1), and a full-rank pair has m == n after the rank screen,
-    so (1, 1) leaves only permutation.
+    i) and independent points are coplanar (eta_i = 1/c_i, or appending
+    the column of ones to independent rows keeps them independent), and a
+    full-rank pair has m == n after the rank screen, so (1, 1) leaves only
+    permutation.
     """
     pair, verdict = _screen(e, f)
     if verdict is not None:
@@ -295,8 +294,7 @@ def decide(e: ContractionSystem, f: ContractionSystem,
     verdict = _two_branch(pair)
     if verdict is not None:
         return verdict
-    if coplanar_functional(list(pair.points_e)).present and \
-            coplanar_functional(list(pair.points_f)).present:
+    if coplanar(list(pair.points_e)) and coplanar(list(pair.points_f)):
         # the main theorem: no iterations permute each other
         if orders is None:
             return Verdict(NOT_EQUIVALENT, "NO_ITERATION_CARDINALITY",

@@ -8,6 +8,9 @@ point has strictly smaller score, so the recurrence is well-founded).  The
 same walk, with points at a threshold counted but not extended, gives
 ``selfsimilar``'s cut-sets.  Off the lattice, counts extend by the
 nearest-point rule, searched exactly in lattice boxes around the query.
+Query points and directions are read exactly as given (a float is the
+rational it stores), so cone membership, minimal faces and nearest
+points are integer tests of the caller's own input.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .cones import Cone, cone_member, half_space_certificate
+from .cones import Cone, _integral, _primitive, cone_member, half_space_certificate
 from .errors import (
     DirectionOutsideCone,
     FroblipError,
@@ -28,9 +31,6 @@ from .errors import (
     ResourceLimit,
 )
 
-# float query points and directions are snapped to this denominator, so
-# that cone membership and minimal faces are exact tests
-SNAP_DENOM = 2 ** 48
 R_CAP = 8  # nearest-point search radius cap (Euclidean)
 DEFAULT_POINT_BUDGET = 2_000_000
 
@@ -59,19 +59,21 @@ class DefiningData:
 
     @cached_property
     def _in_cone(self) -> dict:
-        """{snapped direction: whether the cone holds it}, for ``direction``."""
+        """{primitive integer ray: whether the cone holds it}, for
+        ``direction``."""
         return {}
 
-    def direction(self, theta: Sequence[float]):
-        """``_unit(theta)``, or DirectionOutsideCone when the snapped
-        direction is outside the cone; each snapped direction is tested
-        once, however many estimates ask."""
-        th, th_snap = _unit(theta)
-        if th_snap not in self._in_cone:
-            self._in_cone[th_snap] = cone_member(th_snap, self.cone)
-        if not self._in_cone[th_snap]:
+    def direction(self, theta: Sequence) -> tuple:
+        """``_unit(theta)``, or DirectionOutsideCone when the exact ray of
+        theta is outside the cone; each ray is tested once, however many
+        estimates ask."""
+        th = _unit(theta)
+        ray = _primitive(_integral(theta))
+        if ray not in self._in_cone:
+            self._in_cone[ray] = cone_member(ray, self.cone)
+        if not self._in_cone[ray]:
             raise DirectionOutsideCone(f"direction {th} outside the cone")
-        return th, th_snap
+        return th
 
     def score(self, x: Sequence) -> Fraction:
         return sum(Fraction(a) * Fraction(x_i) for a, x_i in zip(self.alpha, x))
@@ -163,12 +165,6 @@ def build_multiplicity(data: DefiningData, bound,
     return MultiplicityTable(data, bound, counts)
 
 
-def _snap(value) -> Fraction:
-    if isinstance(value, float):
-        return Fraction(round(value * SNAP_DENOM), SNAP_DENOM)
-    return Fraction(value)
-
-
 def multiplicity_at(table: MultiplicityTable, x: Sequence) -> int:
     """Multiplicity at x, extended off-lattice by the nearest-point rule.
 
@@ -177,9 +173,10 @@ def multiplicity_at(table: MultiplicityTable, x: Sequence) -> int:
     points.  The search looks up the lattice points in boxes of half-width
     1, 2, 4, R_CAP around x and stops at the first box holding a table
     point within that half-width (no point outside the box is as near);
-    squared distances are exact integers over x's common denominator.
+    squared distances are exact integers over x's common denominator (a
+    float coordinate is the rational it stores).
     """
-    xs = tuple(_snap(v) for v in x)
+    xs = tuple(Fraction(v) for v in x)
     den = math.lcm(*(v.denominator for v in xs))
     num = [int(v * den) for v in xs]
     alpha, limit = table._determined
@@ -215,19 +212,22 @@ class GrowthEstimate:
     stderr: float
 
 
-def _unit(theta: Sequence[float]):
-    """theta scaled to unit length, in floats and snapped; a direction
-    without a finite nonzero float length raises FroblipError.  The
-    components are divided by the largest magnitude first, so that no
-    square underflows or overflows."""
-    th = tuple(float(t) for t in theta)
-    big = max(map(abs, th), default=0.0)
-    if not (big > 0 and all(map(math.isfinite, th))):
-        raise FroblipError(f"direction {tuple(theta)} has no finite nonzero length")
-    th = tuple(t / big for t in th)
+def _unit(theta: Sequence) -> tuple:
+    """theta scaled to unit length, in floats; a direction without a
+    finite nonzero length raises FroblipError.  The components are divided
+    exactly by the largest magnitude first, so that no square underflows
+    or overflows, and a float quotient is the one float division gives."""
+    try:
+        exact = [Fraction(t) for t in theta]
+    except (ValueError, OverflowError):  # nan or inf
+        exact = []
+    big = max(map(abs, exact), default=0)
+    if not big:
+        raise FroblipError(f"direction ({', '.join(map(str, theta))}) has no "
+                           f"finite nonzero length")
+    th = tuple(float(t / big) for t in exact)
     norm = math.sqrt(sum(t ** 2 for t in th))
-    th = tuple(t / norm for t in th)
-    return th, tuple(_snap(t) for t in th)
+    return tuple(t / norm for t in th)
 
 
 def _check_radii(k_max: float, k_count: int = 2):
@@ -238,20 +238,20 @@ def _check_radii(k_max: float, k_count: int = 2):
                            f"got k_max={k_max}, k_count={k_count}")
 
 
-def gamma_table_bound(data: DefiningData, theta: Sequence[float],
+def gamma_table_bound(data: DefiningData, theta: Sequence,
                       k_max: float = 120.0) -> Fraction:
     """Table bound at which every estimate_gamma query along theta up to
     k_max is determined; any larger bound gives the same answers.  The
     score is clamped at 0 so that a direction outside the cone, which
     estimate_gamma rejects, still gets a valid bound."""
     _check_radii(k_max)
-    theta_score = max(float(data.score(_unit(theta)[1])), 0.0)
+    theta_score = max(float(data.score(_unit(theta))), 0.0)
     alpha_norm = math.sqrt(sum(float(a) ** 2 for a in data.alpha))
     max_step = float(max(data.score(v) for v in data.vectors))
     return Fraction(math.ceil(k_max * theta_score + R_CAP * alpha_norm + max_step + 2))
 
 
-def estimate_gamma(data: DefiningData, theta: Sequence[float],
+def estimate_gamma(data: DefiningData, theta: Sequence,
                    k_max: float = 120.0, k_count: int = 12,
                    table: Optional[MultiplicityTable] = None,
                    point_budget: int = DEFAULT_POINT_BUDGET) -> GrowthEstimate:
@@ -264,7 +264,7 @@ def estimate_gamma(data: DefiningData, theta: Sequence[float],
     one is built at ``gamma_table_bound``; a given table must reach it.
     """
     _check_radii(k_max, k_count)
-    th, _ = data.direction(theta)
+    th = data.direction(theta)
     # the radii of np.geomspace(k_max / 16, k_max, k_count): even steps in
     # log10, both endpoints pinned
     lo = math.log10(k_max / 16.0)

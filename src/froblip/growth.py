@@ -33,8 +33,11 @@ MOMENT_TOL = 1e-12
 MAX_NEWTON_ITERS = 80
 
 
-def gamma(data: DefiningData, theta: Sequence[float]) -> float:
-    """The directional growth rate gamma(theta) of the module docstring.
+def gamma(data: DefiningData, theta: Sequence) -> float:
+    """The directional growth rate gamma(theta) of the module docstring,
+    at the unit vector along theta.  theta is read exactly (a float is the
+    rational it stores), so a direction on a face of the cone, such as a
+    generator, is on that face.
 
     Solves sum_j p_j X_j = s theta and sum_j p_j = 1 for lambda and s, with
     p_j = e^{-lambda . X_j} over the minimal face's generators, by damped
@@ -45,8 +48,8 @@ def gamma(data: DefiningData, theta: Sequence[float]) -> float:
     cone, and NotConverged when MAX_NEWTON_ITERS steps leave a residual
     above MOMENT_TOL.
     """
-    th, th_snap = data.direction(theta)
-    X = [data.vectors[j] for j in minimal_face(th_snap, data.cone)]
+    th = data.direction(theta)
+    X = [data.vectors[j] for j in minimal_face(theta, data.cone)]
     # the pivot axes of the face's span are coordinates on it
     axes = [next(i for i, c in enumerate(row) if c) for row in row_hnf(X)]
     t = [th[i] for i in axes]
@@ -89,7 +92,9 @@ def gamma(data: DefiningData, theta: Sequence[float]) -> float:
     if res > MOMENT_TOL:
         raise NotConverged(f"entropy solve along {th} stopped at residual "
                            f"{res:.3g} > {MOMENT_TOL:g}")
-    return math.fsum(l * th[i] for l, i in zip(lam, axes))
+    # the entropy form is >= 0; near a face of the cone the solve's
+    # rounding can leave a tiny negative
+    return max(0.0, math.fsum(l * th[i] for l, i in zip(lam, axes)))
 
 
 def _solve(A, b):

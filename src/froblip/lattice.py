@@ -260,6 +260,13 @@ def integer_rank(vectors: Sequence[Sequence[int]]) -> int:
     return len(row_hnf(vectors))
 
 
+def coplanar(vectors: Sequence[Sequence[int]]) -> bool:
+    """Is there a rational eta with <eta, X_j> = 1 for every vector X_j?
+    A eta = 1 is solvable iff appending a column of ones to the rows X_j
+    keeps their rank."""
+    return integer_rank([(*v, 1) for v in vectors]) == integer_rank(vectors)
+
+
 def express_over_hnf(hnf_rows, x):
     """Write lattice vector x as an integer combination of HNF rows.
 

@@ -7,7 +7,7 @@ numerical tolerance.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -104,34 +104,3 @@ def lp_max(c: Sequence, A: Sequence[Sequence], b: Sequence):
             x[bv] = T[i][-1]
     value = sum(Fraction(ci) * xi for ci, xi in zip(c, x))
     return OPTIMAL, x, value
-
-
-def solve_linear(M: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
-    """Any exact solution of M y = rhs over the rationals, or None.
-
-    Free variables are set to zero (Gaussian elimination with exact pivots).
-    """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    A = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(M)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        A[r] = [v / A[r][c] for v in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if A[i][-1] != 0:
-            return None
-    y = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        y[c] = A[i][-1]
-    return y

@@ -145,6 +145,30 @@ def test_gamma_theta_outside_cone(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("theta, row", [
+    ("2,1", "0.894427,0.447214,0.000000,,"),
+    ("4,2", "0.894427,0.447214,0.000000,,"),
+    ("1,3", "0.316228,0.948683,0.000000,,"),
+    ("2,1.00000000000000000001", "0.894427,0.447214,0.000000,,"),
+    ("2,0.99999999999999999999", None),
+])
+def test_gamma_boundary_rays_read_exactly(tmp_path, capsys, theta, row):
+    """{1/12, 1/54} has the exponent vectors (2, 1) and (1, 3), the edges
+    of its cone.  --theta is read exactly: a generator and its multiples
+    are on an edge, where one word reaches each point; 1e-20 past the
+    edge of (2, 1) is outside, though its unit vector rounds to that
+    edge's."""
+    p = write(tmp_path, "edge.json", {"rationals": ["1/12", "1/54"]})
+    rc = main(["gamma", p, "--analytic", f"--theta={theta}"])
+    out = capsys.readouterr()
+    if row is None:
+        assert rc == 4 and out.out == ""
+        assert out.err.endswith(" outside the cone\n")
+    else:
+        assert rc == 0
+        assert out.out.splitlines()[2] == row
+
+
 @pytest.mark.parametrize("theta", [None, "1,1", "-1,1"])
 def test_gamma_both_tests_each_direction_once(tmp_path, capsys, monkeypatch,
                                               theta):
@@ -326,9 +350,9 @@ def test_output_file(tmp_path, half, quarters):
 
 BAD_ARGUMENTS = [
     (["gamma", "{s2}", "--theta=0,0"], 4),
-    (["gamma", "{s2}", "--theta=nan,1"], 4),
-    (["gamma", "{s2}", "--theta=1,nan"], 4),
-    (["gamma", "{s2}", "--theta=inf,1"], 4),
+    (["gamma", "{s2}", "--theta=nan,1"], 2),  # --theta is read exactly
+    (["gamma", "{s2}", "--theta=1,nan"], 2),
+    (["gamma", "{s2}", "--theta=inf,1"], 2),
     (["gamma", "{s2}", "--theta=1,x"], 2),
     (["gamma", "{s2}", "--dirs", "0"], 4),
     (["gamma", "{s2}", "--k-max", "0"], 4),

@@ -1,7 +1,9 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -10,13 +12,12 @@ from froblip.cones import (
     cone_equal,
     cone_member,
     cone_separation,
-    coplanar_functional,
     half_space_certificate,
     minimal_face,
 )
 from froblip import cones
-from froblip.errors import DimensionMismatch, NoHalfSpace, ResourceLimit
-from froblip.lattice import integer_rank
+from froblip.errors import DimensionMismatch, FroblipError, NoHalfSpace, ResourceLimit
+from froblip.lattice import coplanar, integer_rank
 from lp_oracles import lp_cone_equal, lp_cone_member, lp_hull_member, lp_minimal_face
 
 F = Fraction
@@ -77,31 +78,81 @@ def test_half_space_certificate_absent():
         half_space_certificate(Cone(((1,), (-2,))))
 
 
+def sympy_coplanar(vectors):
+    """Oracle: A eta = 1 is solvable iff the column of ones keeps the rank
+    of A, both ranks by sympy."""
+    return (sympy.Matrix([[*v, 1] for v in vectors]).rank()
+            == sympy.Matrix(vectors).rank())
+
+
 def test_coplanar_functional_binomial():
-    eta = coplanar_functional([(1, 0), (0, 1)])
-    assert eta.present
-    assert eta.eta == (F(1), F(1))
+    # eta = (1, 1)
+    assert coplanar([(1, 0), (0, 1)])
+    assert sympy_coplanar([(1, 0), (0, 1)])
 
 
 def test_coplanar_functional_trinomial():
-    eta = coplanar_functional([(2, 0), (1, 1), (0, 2)])
-    assert eta.present
-    for v in [(2, 0), (1, 1), (0, 2)]:
-        assert sum(e * x for e, x in zip(eta.eta, v)) == 1
+    # eta = (1/2, 1/2)
+    assert coplanar([(2, 0), (1, 1), (0, 2)])
+    assert sympy_coplanar([(2, 0), (1, 1), (0, 2)])
 
 
 def test_coplanar_functional_absent():
     # (5) and (3) on one axis: 5 eta = 1 and 3 eta = 1 is inconsistent
-    assert not coplanar_functional([(5,), (3,)]).present
-    assert not coplanar_functional([(1, 0), (0, 1), (1, 1)]).present
+    for vectors in ([(5,), (3,)], [(1, 0), (0, 1), (1, 1)]):
+        assert not coplanar(vectors)
+        assert not sympy_coplanar(vectors)
 
 
 def test_coplanar_functional_rank_deficient_gram():
-    # duplicated vectors make the Gram matrix singular; a solution exists
-    eta = coplanar_functional([(1, 1), (1, 1), (2, 0)])
-    assert eta.present
-    for v in [(1, 1), (2, 0)]:
-        assert sum(e * x for e, x in zip(eta.eta, v)) == 1
+    # a duplicated vector leaves the rank short of the count; eta = (1/2,
+    # 1/2) holds
+    assert coplanar([(1, 1), (1, 1), (2, 0)])
+    assert sympy_coplanar([(1, 1), (1, 1), (2, 0)])
+    # (2, 2) = 2 (1, 1), so eta . (2, 2) = 2 whenever eta . (1, 1) = 1
+    assert not coplanar([(1, 1), (2, 2), (2, 0)])
+
+
+def _coplanar_sample(n=2400):
+    """Seeded integer vector sets in dimensions 1-4: half of them planted
+    on an affine hyperplane w . x = c with c != 0, so coplanar (eta =
+    w / c); the other half drawn freely, which makes some coplanar."""
+    rng = random.Random(5)
+    for trial in range(n):
+        s, m = rng.randint(1, 4), rng.randint(1, 6)
+        if trial % 2:
+            yield [tuple(rng.randint(-4, 4) for _ in range(s)) for _ in range(m)]
+            continue
+        k = rng.randrange(s)  # w_k = +-1 fixes x_k on the hyperplane
+        w = [rng.randint(-3, 3) for _ in range(s)]
+        w[k], c = rng.choice((-1, 1)), rng.choice((-1, 1)) * rng.randint(1, 6)
+        vectors = []
+        for _ in range(m):
+            x = [rng.randint(-4, 4) for _ in range(s)]
+            x[k] = 0
+            x[k] = w[k] * (c - sum(a * b for a, b in zip(w, x)))
+            vectors.append(tuple(x))
+        if trial % 6 == 0:
+            vectors.append(rng.choice(vectors))
+        yield vectors
+
+
+def test_coplanar_matches_sympy_rank_oracle():
+    outcomes = {True: 0, False: 0}
+    for trial, vectors in enumerate(_coplanar_sample()):
+        got = coplanar(vectors)
+        assert got == sympy_coplanar(vectors), vectors
+        if trial % 2 == 0:
+            assert got, vectors  # planted
+        outcomes[got] += 1
+    assert min(outcomes.values()) > 300
+
+
+def test_coplanar_rejects_empty_and_mixed_dimensions():
+    with pytest.raises(FroblipError):
+        coplanar([])
+    with pytest.raises(DimensionMismatch):
+        coplanar([(1, 0), (1,)])
 
 
 def test_semigroup_span_reaches_deep_cone_points():

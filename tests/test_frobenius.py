@@ -16,7 +16,6 @@ from froblip.errors import (
 )
 from froblip.frobenius import (
     R_CAP,
-    SNAP_DENOM,
     build_multiplicity,
     estimate_gamma,
     frobenius_number_1d,
@@ -95,7 +94,7 @@ def test_multiplicity_at_lattice_and_nearest():
     assert multiplicity_at(table, (5.0,)) == table.counts[(5,)]
     # 1 is off the semigroup: nearest are 0 (count 1) and 2 (count 1)
     assert multiplicity_at(table, (1.0,)) == 1
-    # 2.4 snaps near 2
+    # 2.4 is nearest to 2
     assert multiplicity_at(table, (2.4,)) == table.counts[(2,)]
     # midpoint tie 2.5: min of the counts at 2 and 3
     assert multiplicity_at(table, (2.5,)) == min(
@@ -113,8 +112,7 @@ def test_multiplicity_at_out_of_range():
 def nearest_oracle(table, x):
     """Oracle: scan every table point with exact squared distances (over
     the query's common denominator); ties go to the smallest count."""
-    xs = [F(round(v * SNAP_DENOM), SNAP_DENOM) if isinstance(v, float) else F(v)
-          for v in x]
+    xs = [F(v) for v in x]
     if table.data.score(xs) > table.fully_determined_bound:
         raise QueryOutOfRange("beyond the determined region")
     den = math.lcm(*(v.denominator for v in xs))

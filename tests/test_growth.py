@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
-from froblip.cones import coplanar_functional
-from froblip.errors import DirectionOutsideCone, NotConverged
-from froblip.frobenius import _unit, make_defining_data
+from froblip.errors import DirectionOutsideCone, FroblipError, NotConverged
+from froblip.frobenius import (build_multiplicity, estimate_gamma,
+                               gamma_table_bound, make_defining_data)
 from froblip import growth
 from froblip.growth import gamma
-from froblip.lattice import Monomial
+from froblip.lattice import Monomial, coplanar
 from froblip.selfsimilar import build_system, iterate
 
 from lp_oracles import lp_cone_member, lp_minimal_face
@@ -91,7 +92,7 @@ def test_gamma_direction_outside_cone():
 
 def test_max_entropy_float_target_snapped_off_hull():
     # (2t, 2-2t) lies on the hull's line x + y = 2, but its unit direction
-    # snaps to 2^-48 coordinate by coordinate; the solve needs no hull point
+    # is rounded coordinate by coordinate; the solve needs no hull point
     t = 0.41163513999128915
     g = _gamma(TRINOMIAL, (2 * t, 2 - 2 * t))
     # oracle: the feasible set is the segment p = (u, 2t-2u, 1-2t+u) for
@@ -155,7 +156,7 @@ def test_gamma_iteration_invariance_noncoplanar():
     u, v = Monomial.generator("u"), Monomial.generator("v")
     for ratios in ([u, v, u * v], [u, v, u * u * v], [u * v, u ** 3, v * v]):
         e = build_system(ratios)
-        assert not coplanar_functional(e.exponents).present
+        assert not coplanar(e.exponents)
         data = make_defining_data(e.exponents, e.alpha)
         e2 = iterate(e, 2)
         data2 = make_defining_data(e2.exponents, e2.alpha)
@@ -180,6 +181,11 @@ def test_gamma_boundary_faces_and_rank_one():
         assert abs(g - math.log(phi)) < 1e-12
         assert f"{g:.6f}" == "0.481212"
     assert f"{_gamma(((5,), (1,)), (1.0,)):.6f}" == "0.281200"
+    # just inside the quadrant the rate is about 1e-300, so the solve's
+    # rounding must not leave it below 0 (nor at -0.0, printed "-0.000000")
+    for theta in ((1.0, 1e-300), (Fraction(10) ** 400, 1)):
+        g = _gamma(BINOMIAL, theta)
+        assert 0.0 <= g < 1e-15 and math.copysign(1.0, g) == 1.0
 
 
 def _kraft_root(a):
@@ -292,7 +298,7 @@ def _coplanar_cases():
     3, some with duplicates.  The directions run through a weighted mean or
     the midpoint of two generators, or through a vertex or an edge of the
     simplex x_1 + ... + x_s = c, whose corners c e_i are then generators:
-    such a direction stays on its face when it is snapped."""
+    such a direction lies on a face of the cone."""
     rng = random.Random(11)
     for trial in range(240):
         s, kind = trial % 3 + 1, trial % 4
@@ -326,24 +332,29 @@ def _coplanar_cases():
         yield vectors, tuple(map(float, theta))
 
 
+def _sympy_eta(vectors):
+    """Oracle: a rational eta with <eta, X_j> = 1 for every j, by sympy's
+    exact Gauss-Jordan solve with the free parameters at 0."""
+    sol, params = sympy.Matrix(vectors).gauss_jordan_solve(
+        sympy.ones(len(vectors), 1))
+    sol = sol.subs({p: 0 for p in params})
+    return [Fraction(int(v.p), int(v.q)) for v in sol]
+
+
 def test_max_entropy_matches_numpy_newton():
     """gamma on coplanar data is (eta . theta) times the maximal entropy at
-    theta / (eta . theta), at the snapped direction the cone test sees."""
+    theta / (eta . theta), over |theta|; every direction is in the cone."""
     faces = dims = 0
     for vectors, theta in _coplanar_cases():
         data = make_defining_data(vectors)
-        snapped = _unit(theta)[1]
-        if not lp_cone_member(snapped, vectors):
-            with pytest.raises(DirectionOutsideCone):
-                gamma(data, theta)
-            continue
-        eta = coplanar_functional(vectors).eta
-        scale = sum(Fraction(e) * t for e, t in zip(eta, snapped))
+        assert lp_cone_member(theta, vectors)
+        scale = sum(e * Fraction(t) for e, t in zip(_sympy_eta(vectors), theta))
         value, residual, support = _numpy_max_entropy(
-            vectors, [t / scale for t in snapped])
+            vectors, [Fraction(t) / scale for t in theta])
         assert residual <= 1e-12
-        assert gamma(data, theta) == pytest.approx(float(scale) * value,
-                                                   rel=0, abs=1e-9), (vectors, theta)
+        want = float(scale) * value / math.hypot(*theta)
+        assert gamma(data, theta) == pytest.approx(want, rel=0, abs=1e-9), \
+            (vectors, theta)
         faces += len(support) < len(vectors)
         dims += len({vectors[j] for j in support}) == 1
     # the sample reaches faces smaller than the hull and 0-dimensional ones
@@ -362,3 +373,55 @@ def test_analytic_gamma_raises_when_not_converged(monkeypatch):
     assert _gamma(BINOMIAL, (1.0, 0.0)) == 0.0
     with pytest.raises(NotConverged, match="residual"):
         _gamma(BINOMIAL, (1.0, 1.0))
+
+
+def _in_cone_directions():
+    """600 seeded systems in dimensions 1-3, 2-5 vectors with entries 0-4,
+    each with three directions of its cone: a generator, a positive
+    integer combination and the sum of two generators.  Most generators
+    lie on a face of the cone, so many directions are on its boundary."""
+    rng = random.Random(17)
+    systems = 0
+    while systems < 600:
+        s = systems % 3 + 1
+        vectors = [tuple(rng.randint(0, 4) for _ in range(s))
+                   for _ in range(rng.randint(2, 5))]
+        try:
+            data = make_defining_data(vectors)
+        except FroblipError:  # some vector is 0
+            continue
+        systems += 1
+        i, j = rng.sample(range(len(vectors)), 2)
+        weights = [rng.randint(1, 9) for _ in vectors]
+        combination = tuple(sum(w * v[k] for w, v in zip(weights, vectors))
+                            for k in range(s))
+        pair = tuple(x + y for x, y in zip(vectors[i], vectors[j]))
+        yield data, [rng.choice(vectors), combination, pair]
+
+
+def test_in_cone_directions_are_never_refused():
+    """A direction of the cone, given as floats or as Fractions over 7, is
+    in the cone: gamma and estimate_gamma accept it.  Moved 1e-12 across a
+    facet that is tight at a generator, it is refused."""
+    directions = crossed = 0
+    for data, thetas in _in_cone_directions():
+        given = [tuple(map(float, th)) for th in thetas]
+        given += [tuple(Fraction(x, 7) for x in th) for th in thetas]
+        table = build_multiplicity(data, max(gamma_table_bound(data, th, 2.0)
+                                             for th in given))
+        for theta in given:
+            assert gamma(data, theta) >= 0.0
+            estimate_gamma(data, theta, k_max=2.0, k_count=2, table=table)
+        directions += len(thetas)
+        normals = data.cone.h_representation[1]
+        for g in data.vectors:
+            for y in (y for y in normals if sum(map(math.prod, zip(y, g))) == 0):
+                outside = [x - Fraction(1, 10 ** 12) * c for x, c in zip(g, y)]
+                for theta in (outside, [float(x) for x in outside]):
+                    with pytest.raises(DirectionOutsideCone):
+                        gamma(data, theta)
+                    with pytest.raises(DirectionOutsideCone):
+                        estimate_gamma(data, theta, k_max=2.0, k_count=2,
+                                       table=table)
+                crossed += 1
+    assert directions == 1800 and crossed > 300

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import sympy
 
-from froblip.cones import coplanar_functional
 from froblip.errors import FroblipError
 from froblip.frobenius import build_multiplicity, make_defining_data
 from froblip.growth import gamma
 from froblip.lattice import (
+    coplanar,
     factor_rationals,
     integer_rank,
     reduce_to_pseudo_basis,
@@ -103,7 +104,6 @@ def test_coplanar_entropy_exactness(t):
                 min_size=2, max_size=4))
 @settings(max_examples=30, deadline=None)
 def test_coplanar_functional_exact(vectors):
-    eta = coplanar_functional(vectors)
-    if eta.present:
-        for v in vectors:
-            assert sum(e * x for e, x in zip(eta.eta, v)) == 1
+    # oracle: the rank of the matrix with the column of ones appended
+    augmented = sympy.Matrix([[*v, 1] for v in vectors]).rank()
+    assert coplanar(vectors) == (augmented == sympy.Matrix(vectors).rank())

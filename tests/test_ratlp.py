@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import sympy
+
 from froblip import ratlp
 from lp_oracles import feasible_nonneg
 
@@ -30,6 +32,17 @@ def test_lp_max_unbounded():
     assert status == ratlp.UNBOUNDED
 
 
+def _sympy_solve(M, b):
+    """An exact solution of M y = b with the free variables at 0, by
+    sympy's Gauss-Jordan solve, or None when there is none."""
+    try:
+        sol, params = sympy.Matrix(M).gauss_jordan_solve(sympy.Matrix(b))
+    except ValueError:  # inconsistent
+        return None
+    sol = sol.subs({p: 0 for p in params})
+    return [F(int(v.p), int(v.q)) for v in sol]
+
+
 def _brute_force_lp(c, A, b):
     """Best basic feasible solution by enumerating column subsets."""
     import itertools
@@ -38,11 +51,8 @@ def _brute_force_lp(c, A, b):
     best = None
     for cols in itertools.combinations(range(n), m):
         M = [[A[i][j] for j in cols] for i in range(m)]
-        y = ratlp.solve_linear(M, b)
+        y = _sympy_solve(M, b)
         if y is None or any(v < 0 for v in y):
-            continue
-        # reject non-solutions from rank-deficient M (free vars zeroed)
-        if any(sum(M[i][k] * y[k] for k in range(m)) != b[i] for i in range(m)):
             continue
         val = sum(c[j] * y[k] for k, j in enumerate(cols))
         if best is None or val > best:
@@ -99,13 +109,3 @@ def test_feasible_nonneg():
     # (−1, 0) has no nonnegative representation
     assert feasible_nonneg(
         [[F(1), F(1)], [F(0), F(1)]], [F(-1), F(0)]) is None
-
-
-def test_solve_linear():
-    sol = ratlp.solve_linear([[F(2), F(1)], [F(1), F(3)]], [F(5), F(10)])
-    assert sol == [F(1), F(3)]
-    # inconsistent
-    assert ratlp.solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
-    # underdetermined: free variables fixed at zero, still a valid solution
-    sol = ratlp.solve_linear([[F(1), F(1)]], [F(2)])
-    assert sol is not None and sol[0] + sol[1] == 2
