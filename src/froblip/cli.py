@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import serialize
@@ -26,7 +25,7 @@ from .frobenius import (
     make_defining_data,
 )
 from .growth import gamma
-from .lattice import parse_rational
+from .lattice import parse_rational, read_fraction
 from .selfsimilar import ExpThreshold, cut_set, matchable, matchable_search
 
 EXIT_PARSE = 2
@@ -47,14 +46,6 @@ def _emit(text: str, out: Optional[str]):
 
 def _emit_json(doc, out: Optional[str]):
     _emit(json.dumps(doc, indent=2, sort_keys=True), out)
-
-
-def _parse(kind, text: str, flag: str):
-    """``kind(text)`` for an option's value, or ParseError."""
-    try:
-        return kind(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad {flag} value {text!r}") from None
 
 
 def _sweep_directions(data, n: int):
@@ -111,7 +102,7 @@ def cmd_gamma(args) -> int:
     want_analytic = args.mode in ("analytic", "both")
     want_empirical = args.mode in ("empirical", "both")
     if args.theta:
-        thetas = [tuple(_parse(Fraction, t, "--theta")
+        thetas = [tuple(read_fraction(t, "--theta")
                         for t in args.theta.split(","))]
         if len(thetas[0]) != system.dim:
             raise FroblipError(f"--theta has {len(thetas[0])} components, but "
@@ -154,7 +145,7 @@ def cmd_decide(args) -> int:
 def cmd_multiplicity(args) -> int:
     system = serialize.load_system(args.system)
     data = make_defining_data(system.exponents, system.alpha)
-    table = build_multiplicity(data, _parse(Fraction, args.bound, "--bound"))
+    table = build_multiplicity(data, read_fraction(args.bound, "--bound"))
     _emit("\n".join(serialize.table_csv_lines(table)), args.out)
     return 0
 
@@ -164,8 +155,11 @@ def _threshold(args):
     if (args.t is None) == (args.exp_k is None):
         raise ParseError(f"{args.command} needs exactly one of --t and --exp-k")
     if args.t is not None:
-        return parse_rational(args.t)
-    return ExpThreshold(_parse(Fraction, args.exp_k, "--exp-k"))
+        try:
+            return parse_rational(args.t)
+        except ParseError as exc:
+            raise ParseError(f"--t: {exc}") from None
+    return ExpThreshold(read_fraction(args.exp_k, "--exp-k"))
 
 
 def cmd_cutset(args) -> int:

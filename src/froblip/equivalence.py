@@ -8,7 +8,8 @@ which proves equivalence for any pair; the two-branch decider for rank-1
 pairs of two ratios each, the one non-coplanar family decided; and the
 coplanar refutations, by the paper's main theorem (see ``decide``).
 Dimensions refute only when a rational delta* certifiably lies between
-them (``_dimension``).  ``decide`` loads no third-party library.
+them (``_dimension``).  The polynomial and bracket arithmetic is in
+``poly``.  ``decide`` loads no third-party library.
 """
 from __future__ import annotations
 
@@ -18,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import poly
 from .cones import cone_separation
 from .errors import IncompatibleSymbolicBases, ResourceLimit
 from .lattice import coplanar, factor_integer, integer_rank, reduce_to_pseudo_basis
-from .selfsimilar import (ITERATION_BUDGET, ContractionSystem, _brackets, _root,
-                          common_basis, iterate)
+from .selfsimilar import ContractionSystem, _root, common_basis, iterate
 
 EQUIVALENT = "EQUIVALENT"
 NOT_EQUIVALENT = "NOT_EQUIVALENT"
@@ -96,7 +97,7 @@ def _dimension(pair: _Pair) -> Optional[Verdict]:
         return None
     delta = next((x for x in (Fraction(f"{(lo + hi) / 2:.{n}g}") for n in range(1, 18))
                   if lo < x < hi), (Fraction(lo) + Fraction(hi)) / 2)
-    for br in _brackets(values):
+    for br in poly._brackets(values):
         signs = [br.sign(points, delta) for points in (pair.points_e, pair.points_f)]
         if 0 not in signs:
             break
@@ -191,35 +192,6 @@ def iteration_orders(m: int, n: int) -> Optional[tuple]:
     return b // g, a // g
 
 
-def _times(a: Counter, b: Counter) -> Counter:
-    """Product of polynomials held as {exponent vector: coefficient}."""
-    if len(a) * len(b) > ITERATION_BUDGET:
-        raise ResourceLimit(f"{len(a)} x {len(b)} term products exceed "
-                            f"ITERATION_BUDGET = {ITERATION_BUDGET}")
-    out = Counter()
-    for x, c in a.items():
-        for y, d in b.items():
-            out[tuple(i + j for i, j in zip(x, y))] += c * d
-    return out
-
-
-def _power(poly: Counter, k: int) -> Counter:
-    """poly**k by repeated squaring; no product exceeds len(poly)**k terms."""
-    if k == 1:
-        return poly
-    half = _power(_times(poly, poly), k // 2)
-    return _times(half, poly) if k % 2 else half
-
-
-def _value(points: Counter) -> Fraction:
-    """sum_z m(z) x**z at x_i = the i-th prime, exactly (z may be negative);
-    the k-th prime is below 20 k for every k below 10**7 (Rosser)."""
-    k = len(next(iter(points)))
-    x = [n for n in range(2, 20 * k) if all(n % d for d in range(2, math.isqrt(n) + 1))]
-    return sum(c * math.prod(Fraction(b) ** z for b, z in zip(x, point))
-               for point, c in points.items())
-
-
 def _permutation_witness(e: ContractionSystem, f: ContractionSystem,
                          p: int, q: int):
     """Index map from the p-th iteration of ``e`` onto equal ratios of the
@@ -261,8 +233,8 @@ def decide(e: ContractionSystem, f: ContractionSystem,
     n**q, so (p, q) = t*(p0, q0) (``iteration_orders``); and A**t == B**t
     for A = P_e**p0, B = P_f**q0 makes A/B a root of unity in Q(x), so +-1,
     and positive coefficients force A == B.  So only (p0, q0) is checked.
-    Unequal values of A and B at a point of primes (``_value``) refute it
-    with no budget; equal values prove nothing and lead to the expansion,
+    Unequal values of A and B at a point of primes (``poly._value``) refute
+    it with no budget; equal values prove nothing and lead to the expansion,
     UNDECIDED SEARCH_BOUND past ITERATION_BUDGET term products.  A coplanar
     pair that fails it is NOT_EQUIVALENT, NO_ITERATION_CARDINALITY when
     m**p == n**q has no solution.  Rank-1 pairs of two ratios each, not
@@ -282,11 +254,11 @@ def decide(e: ContractionSystem, f: ContractionSystem,
     if orders is not None:
         p, q = orders
         try:
-            holds = (_value(pair.points_e) ** p == _value(pair.points_f) ** q
-                     and _power(pair.points_e, p) == _power(pair.points_f, q))
+            holds = (poly._value(pair.points_e) ** p == poly._value(pair.points_f) ** q
+                     and poly._power(pair.points_e, p) == poly._power(pair.points_f, q))
         except ResourceLimit:
             return Verdict(UNDECIDED, "SEARCH_BOUND",
-                           {"p": p, "q": q, "budget": ITERATION_BUDGET})
+                           {"p": p, "q": q, "budget": poly.ITERATION_BUDGET})
         if holds:
             return Verdict(EQUIVALENT, "ITERATION_PERMUTATION",
                            {"p": p, "q": q,

@@ -2,10 +2,9 @@
 
 The central object is the multiplicity table: for integer step vectors
 X_1..X_m with X_j . alpha > 0, the number of words over {1..m} whose step
-sum reaches a lattice point z.  Counts are exact big integers, computed by
-one lattice walk in increasing z . alpha order (every predecessor of a
-point has strictly smaller score, so the recurrence is well-founded).  The
-same walk, with points at a threshold counted but not extended, gives
+sum reaches a lattice point z.  Counts are exact big integers, the
+coefficients of 1 / (1 - P) that ``poly._walk`` expands; the same walk,
+with points at a threshold counted but not extended, gives
 ``selfsimilar``'s cut-sets.  Off the lattice, counts extend by the
 nearest-point rule, searched exactly in lattice boxes around the query.
 Query points and directions are read exactly as given (a float is the
@@ -14,7 +13,6 @@ points are integer tests of the caller's own input.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -30,6 +28,7 @@ from .errors import (
     QueryOutOfRange,
     ResourceLimit,
 )
+from .poly import _walk
 
 R_CAP = 8  # nearest-point search radius cap (Euclidean)
 DEFAULT_POINT_BUDGET = 2_000_000
@@ -86,42 +85,6 @@ def make_defining_data(vectors: Sequence[Sequence[int]],
     if alpha is None:
         alpha = half_space_certificate(Cone(vecs)).alpha
     return DefiningData(vecs, tuple(Fraction(a) for a in alpha))
-
-
-def _walk(vectors, alpha, point_budget, over, bound=None, leaf=None):
-    """Word counts of the lattice points reached from 0 by the steps.
-
-    Points are visited in increasing (alpha-score, point) order, after all
-    their predecessors, and each inner point adds its count to its
-    successors' (0 counts 1).  Successors scoring above ``bound``, when
-    given, are not visited; a point other than 0 for which ``leaf`` holds
-    is counted but not extended.  Returns {inner point: count} and {leaf
-    point: count}, in visiting order; visiting more than ``point_budget``
-    points raises ResourceLimit(over).
-    """
-    steps = [(v, sum(Fraction(a) * x for a, x in zip(alpha, v))) for v in vectors]
-    zero = (0,) * len(vectors[0])
-    inner, leaves = {}, {}
-    pending = {zero: 1}  # queued points, with the counts pushed into them so far
-    heap = [(0, zero)]
-    while heap:
-        sc, z = heapq.heappop(heap)
-        if len(inner) + len(leaves) >= point_budget:
-            raise ResourceLimit(over)
-        # every predecessor scores lower: it was visited, and pushed its count
-        m = pending.pop(z)
-        if leaf is not None and inner and leaf(z):  # inner is empty only at 0
-            leaves[z] = m
-            continue
-        inner[z] = m
-        for v, w in steps:
-            nxt = tuple(a + b for a, b in zip(z, v))
-            if nxt in pending:
-                pending[nxt] += m
-            elif bound is None or sc + w <= bound:
-                pending[nxt] = m
-                heapq.heappush(heap, (sc + w, nxt))
-    return inner, leaves
 
 
 @dataclass

@@ -39,62 +39,121 @@ def gamma(data: DefiningData, theta: Sequence) -> float:
     rational it stores), so a direction on a face of the cone, such as a
     generator, is on that face.
 
-    Solves sum_j p_j X_j = s theta and sum_j p_j = 1 for lambda and s, with
-    p_j = e^{-lambda . X_j} over the minimal face's generators, by damped
-    Newton from lambda = 0.  The residual is the larger of |log sum_j
-    e^{-lambda . X_j}| and the part of the mean sum_j p_j X_j / sum_j p_j
-    across theta, over the largest entry of the X_j; each step is halved
-    until it falls.  Raises DirectionOutsideCone for theta outside the
-    cone, and NotConverged when MAX_NEWTON_ITERS steps leave a residual
-    above MOMENT_TOL.
+    Minimizes lambda . theta over the lambda on the surface sum_j
+    e^{-lambda . X_j} = 1 of the minimal face's generators X_j.  Points
+    move onto the surface along alpha (alpha . X_j > 0, so each move is a
+    monotone 1-D solve, ``_level``), lambda = 0 first; there the objective
+    g(lambda) is convex, as the least lambda' . theta over the lambda'
+    reached along alpha from lambda.  Newton's steps for g run tangent to
+    the surface, and each is halved until it lowers g, or, when the change
+    it predicts is below the rounding of the largest |lambda . X_j|, the
+    residual: the larger of |log sum_j e^{-lambda . X_j}| and the part of
+    the mean sum_j p_j X_j across theta (p_j = e^{-lambda . X_j}), over
+    the largest entry of the X_j.  The steps stop at a residual within
+    MOMENT_TOL * min(g, 1): near a face, where g is small, full steps go
+    on while they lower the residual.  Raises DirectionOutsideCone for
+    theta outside the cone, and NotConverged when MAX_NEWTON_ITERS steps
+    leave a residual above MOMENT_TOL.
     """
     th = data.direction(theta)
     X = [data.vectors[j] for j in minimal_face(theta, data.cone)]
-    # the pivot axes of the face's span are coordinates on it
-    axes = [next(i for i, c in enumerate(row) if c) for row in row_hnf(X)]
+    # the pivot axes of the face's span are coordinates on it; there
+    # w . x == alpha . x for every x of the span
+    hnf = row_hnf(X)
+    axes = [next(i for i, c in enumerate(row) if c) for row in hnf]
+    alpha = [float(a) for a in data.alpha]
+    w = _solve([[row[i] for i in axes] for row in hnf],
+               [math.fsum(a * c for a, c in zip(alpha, row)) for row in hnf])
+    b = [math.fsum(a * c for a, c in zip(alpha, x)) for x in X]
     t = [th[i] for i in axes]
     tt = math.fsum(ti * ti for ti in t)
     size = max(abs(c) for x in X for c in x)
 
-    def residual(lam):
-        logits = [-math.fsum(l * x[i] for l, i in zip(lam, axes)) for x in X]
-        top = max(logits)
-        w = [math.exp(v - top) for v in logits]
-        total = math.fsum(w)
-        p = [wj / total for wj in w]
+    def state(lam, sigma=None):
+        """lam moved by sigma w, by default onto the surface, with p, the
+        mean, lambda . theta and the residual there."""
+        a = [-math.fsum(l * x[i] for l, i in zip(lam, axes)) for x in X]
+        if sigma is None:
+            sigma = _level(a, b)
+        lam = [l + sigma * wk for l, wk in zip(lam, w)]
+        log_z, e = _log_sum_exp([aj - sigma * bj for aj, bj in zip(a, b)])
+        total = math.fsum(e)
+        p = [ej / total for ej in e]
         mu = [math.fsum(pj * x[i] for pj, x in zip(p, X)) for i in axes]
-        log_z = top + math.log(total)
-        c = math.fsum(m * ti for m, ti in zip(mu, t)) / tt
-        across = max(abs(m - c * ti) for m, ti in zip(mu, t)) / size
-        return p, mu, log_z, max(abs(log_z), across)
+        # mu_i - (mu . t / tt) t_i, summed so that a mean near theta cancels
+        across = max(abs(math.fsum(tk * (mi * tk - mk * ti) for mk, tk in zip(mu, t)))
+                     for mi, ti in zip(mu, t)) / (tt * size)
+        return (lam, p, mu, math.fsum(l * ti for l, ti in zip(lam, t)),
+                max(abs(log_z), across))
 
-    lam = [0.0] * len(axes)
-    p, mu, log_z, res = residual(lam)
-    for _ in range(MAX_NEWTON_ITERS):
-        if res <= MOMENT_TOL:
+    lam, p, mu, g, res = state([0.0] * len(axes), 0.0)
+    iters = MAX_NEWTON_ITERS
+    if len(X) > 1 and iters:  # lambda = 0 is off the surface: move it there
+        lam, p, mu, g, res = state(lam)
+        iters -= 1
+    for _ in range(iters):
+        if res <= MOMENT_TOL * min(g, 1.0):
             break
-        # Newton on mu = s theta, log Z = 0 in (lambda, s): the step in
-        # lambda and the new s solve [[cov, t], [mu, 0]] y = (mu, log Z)
-        cov = [[math.fsum(pj * x[i] * x[k] for pj, x in zip(p, X)) - mi * mk
-                for k, mk in zip(axes, mu)] for i, mi in zip(axes, mu)]
-        step = _solve([row + [ti] for row, ti in zip(cov, t)] + [mu + [0.0]],
-                      mu + [log_z])[:-1]
-        h = 1.0
-        for _ in range(60):
-            lam_new = [l + h * d for l, d in zip(lam, step)]
-            p_new, mu_new, log_z_new, res_new = residual(lam_new)
-            if res_new < res:
+        # the Newton step of g tangent to the surface (mu . y = 0) solves
+        # [[kappa cov, mu], [mu, 0]] y = (-theta, 0), where kappa =
+        # w . theta / w . mu is g's curvature factor there
+        kappa = math.fsum(wk * ti for wk, ti in zip(w, t)) / math.fsum(
+            pj * bj for pj, bj in zip(p, b))
+        cov = [[kappa * (math.fsum(pj * x[i] * x[k] for pj, x in zip(p, X)) - mi * mk)
+                for k, mk in zip(axes, mu)] + [mi] for i, mi in zip(axes, mu)]
+        step = _solve(cov + [mu + [0.0]], [-ti for ti in t] + [0.0])[:-1]
+        # g's change along the step, and the largest |lambda . X_j|, whose
+        # rounding bounds how finely the surface, and so g, is resolved
+        slope = math.fsum(ti * d for ti, d in zip(t, step))
+        scale = max(abs(math.fsum(l * x[i] for l, i in zip(lam, axes))) for x in X)
+        # halve the step until it lowers g, or the residual where the
+        # change it predicts is below that rounding; within MOMENT_TOL,
+        # only a full step that lowers the residual is taken
+        for i in range(60 if res > MOMENT_TOL else 1):
+            h = 0.5 ** i
+            new = state([l + h * d for l, d in zip(lam, step)])
+            g_new, res_new = new[3:]
+            if (res_new < res if res <= MOMENT_TOL else
+                    g_new < g or scale + h * slope == scale and res_new < res):
                 break
-            h *= 0.5
         else:
             break
-        lam, p, mu, log_z, res = lam_new, p_new, mu_new, log_z_new, res_new
+        lam, p, mu, g, res = new
     if res > MOMENT_TOL:
         raise NotConverged(f"entropy solve along {th} stopped at residual "
                            f"{res:.3g} > {MOMENT_TOL:g}")
     # the entropy form is >= 0; near a face of the cone the solve's
     # rounding can leave a tiny negative
-    return max(0.0, math.fsum(l * th[i] for l, i in zip(lam, axes)))
+    return max(0.0, g)
+
+
+def _level(a, b) -> float:
+    """The sigma with sum_j e^{a_j - sigma b_j} = 1, for b_j > 0.  The log
+    of the sum, f, is convex and decreasing in sigma, and at least 0 at
+    max_j a_j / b_j, where one term is 1; so Newton's steps from there, or
+    from 0 when f(0) >= 0, rise to the root.  They stop when f stops
+    falling, at the rounding of the terms."""
+    s = 0.0
+    f, e = _log_sum_exp(a)
+    if f < 0:
+        s = max(aj / bj for aj, bj in zip(a, b))
+        f, e = _log_sum_exp([aj - s * bj for aj, bj in zip(a, b)])
+    while f > 0:
+        nxt = s + f * math.fsum(e) / math.fsum(ej * bj for ej, bj in zip(e, b))
+        f_nxt, e_nxt = _log_sum_exp([aj - nxt * bj for aj, bj in zip(a, b)])
+        if not f_nxt < f:
+            break
+        s, f, e = nxt, f_nxt, e_nxt
+    return s
+
+
+def _log_sum_exp(v):
+    """(log sum_j e^{v_j}, [e^{v_j - max v}]).  The largest term is 1, and
+    the others enter the log by log1p, so that a sum near 1 keeps its
+    digits."""
+    k = max(range(len(v)), key=v.__getitem__)
+    e = [math.exp(x - v[k]) for x in v]
+    return v[k] + math.log1p(math.fsum(e[:k] + e[k + 1:])), e
 
 
 def _solve(A, b):

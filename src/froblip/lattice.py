@@ -17,6 +17,7 @@ from typing import Sequence, Union
 from .errors import DimensionMismatch, FroblipError, ParseError
 
 TRIAL_LIMIT = 2 ** 16  # trial division tries the divisors below this
+EXPONENT_CAP = 1000  # largest decimal exponent magnitude ``read_fraction`` reads
 
 
 @dataclass(frozen=True)
@@ -122,17 +123,31 @@ class PseudoBasis:
 
     @cached_property
     def log_brackets(self) -> list:
-        """``selfsimilar._Brackets`` of the values at 24, 48, 96, ...
-        digits, appended by ``selfsimilar._exceeds_exp`` as it needs them."""
+        """``poly._Brackets`` of the values at 24, 48, 96, ... digits,
+        appended by ``selfsimilar._exceeds_exp`` as it needs them."""
         return []
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse an exact "p/q" ratio string; must lie in (0,1)."""
+def read_fraction(text: str, name: str) -> Fraction:
+    """The exact value of "p/q" or of a decimal with an optional exponent,
+    as ``Fraction`` reads them.  An exponent beyond EXPONENT_CAP in
+    magnitude is refused before its power of ten is built; it, and any
+    other text, raises ParseError naming ``name``."""
+    _, e, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > 9 or int(digits) > EXPONENT_CAP):
+        raise ParseError(f"bad {name}: decimal exponent beyond "
+                         f"EXPONENT_CAP = {EXPONENT_CAP}")
     try:
-        r = Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}") from None
+        raise ParseError(f"bad {name} {text!r}: {exc}") from None
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse an exact "p/q" ratio string (``read_fraction``); must lie in
+    (0,1)."""
+    r = read_fraction(text, "rational")
     if not (0 < r < 1):
         raise ParseError(f"ratio {text!r} outside (0,1)")
     return r
@@ -263,8 +278,9 @@ def integer_rank(vectors: Sequence[Sequence[int]]) -> int:
 def coplanar(vectors: Sequence[Sequence[int]]) -> bool:
     """Is there a rational eta with <eta, X_j> = 1 for every vector X_j?
     A eta = 1 is solvable iff appending a column of ones to the rows X_j
-    keeps their rank."""
-    return integer_rank([(*v, 1) for v in vectors]) == integer_rank(vectors)
+    keeps their rank, that is iff the echelon form of the augmented rows
+    has no pivot in the appended column; it can only be in the last row."""
+    return any(row_hnf([(*v, 1) for v in vectors])[-1][:-1])
 
 
 def express_over_hnf(hnf_rows, x):

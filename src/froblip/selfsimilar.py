@@ -6,14 +6,14 @@ rational half-space certificate, and (for numeric ratios) the Hausdorff
 dimension from the dimension equation sum rho_j^delta = 1.  Cut-set
 thresholds, e^{-k} among them, split the words exactly, with no tolerance.
 Cut-sets, as words or as counts per exponent point, come from the lattice
-walk of ``frobenius``, with the points at or below the threshold as leaves.
+walk of ``poly``, with the points at or below the threshold as leaves; a
+score that floats cannot place is compared in ``poly``'s decimal brackets.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-import decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -26,7 +26,6 @@ from .errors import (
     IncompatibleSymbolicBases,
     ResourceLimit,
 )
-from .frobenius import _walk
 from .lattice import (
     Monomial,
     PseudoBasis,
@@ -34,13 +33,12 @@ from .lattice import (
     parse_rational,
     reduce_to_pseudo_basis,
 )
+from .poly import ITERATION_BUDGET, _Brackets, _walk
 
 SCORE_ERR = 2.0 ** -45  # float e^{-k} score error per unit of k and denominator bit
 K_CAP = Fraction(2 ** 1000)  # stands in for a larger k (no float) in the float test
 DEFAULT_WORD_BUDGET = 500_000
-ITERATION_BUDGET = 10 ** 6
 WITNESS_BUDGET = 2000  # words per cut-set up to which matchable builds a witness
-DIGITS_CAP = 320  # decimal digits past which a bracket that may straddle a tie stops
 
 
 @dataclass(frozen=True)
@@ -99,59 +97,6 @@ class ContractionSystem:
         """The cone of the exponents, kept so that its facets are computed
         once."""
         return Cone(tuple(self.exponents))
-
-
-class _Brackets:
-    """Outward-rounded decimal arithmetic at one precision, with one bracket
-    (lo, hi) around -ln v = ln(1/v) for each rational value v in (0, 1).
-
-    ``decimal``'s ln and exp are correctly rounded, so widening each result
-    by one unit in the last place brackets the true value; every other
-    operation rounds down for a lower bound and up for an upper bound.
-    """
-
-    def __init__(self, values, digits: int):
-        self.near, self.down, self.up = (
-            decimal.Context(prec=digits, rounding=r, Emax=decimal.MAX_EMAX,
-                            Emin=decimal.MIN_EMIN)
-            for r in (decimal.ROUND_HALF_EVEN, decimal.ROUND_FLOOR,
-                      decimal.ROUND_CEILING))
-        n = self.near
-        self.logs = [(n.next_minus(n.ln(self.down.divide(v.denominator, v.numerator))),
-                      n.next_plus(n.ln(self.up.divide(v.denominator, v.numerator))))
-                     for v in values]
-
-    def score(self, exponent) -> tuple:
-        """(lo, hi) around the score -ln(values**exponent)."""
-        lo = hi = decimal.Decimal(0)
-        for e, (a, b) in zip(exponent, self.logs):
-            lo = self.down.fma(e, a if e >= 0 else b, lo)
-            hi = self.up.fma(e, b if e >= 0 else a, hi)
-        return lo, hi
-
-    def sign(self, points, x: Fraction) -> int:
-        """The sign of sum_z m(z) e^(-x s_z) - 1, for a rational x > 0, over
-        the points z with multiplicities m(z) and scores s_z; 0 when the
-        bracket holds 0."""
-        n, p, q = self.near, x.numerator, x.denominator
-        lo = hi = decimal.Decimal(-1)
-        for z, m in points.items():
-            s_lo, s_hi = self.score(z)
-            xs_lo = self.down.divide(self.down.multiply(p, s_lo), q)
-            xs_hi = self.up.divide(self.up.multiply(p, s_hi), q)
-            lo = self.down.fma(m, n.next_minus(n.exp(xs_hi.copy_negate())), lo)
-            hi = self.up.fma(m, n.next_plus(n.exp(xs_lo.copy_negate())), hi)
-        return (lo > 0) - (hi < 0)
-
-
-def _brackets(values, cap: int = DIGITS_CAP):
-    """_Brackets for the values at 24 digits, then twice as many each time,
-    ending at ``cap`` digits."""
-    digits = 24
-    while digits < cap:
-        yield _Brackets(values, digits)
-        digits *= 2
-    yield _Brackets(values, cap)
 
 
 def _root(logs: Sequence[float]) -> float:
@@ -336,6 +281,12 @@ def cut_set(system: ContractionSystem, t: Threshold,
                    leaf=lambda z: _ratio_below(system, z, t))
     if sum(cut.values()) > word_budget:
         raise ResourceLimit(over)
+    words, exps = _cut_words(system, cut)
+    return CutSet(t, words, tuple(map(system.word_ratio, words)), exps)
+
+
+def _cut_words(system: ContractionSystem, cut: dict):
+    """(words, points) of the cut-set at ``cut``'s points, in word order."""
     found = []  # every child of a prefix point is a prefix or a cut point
     stack = [((), (0,) * system.dim)]
     while stack:
@@ -346,8 +297,7 @@ def cut_set(system: ContractionSystem, t: Threshold,
         for letter in range(system.m, 0, -1):
             step = system.exponents[letter - 1]
             stack.append((word + (letter,), tuple(a + b for a, b in zip(z, step))))
-    words, exps = zip(*found)
-    return CutSet(t, words, tuple(map(system.word_ratio, words)), exps)
+    return tuple(zip(*found))
 
 
 def cut_multiset(system: ContractionSystem, t: Threshold,
@@ -404,7 +354,8 @@ class MatchReport:
 def _matcher(e: ContractionSystem, f: ContractionSystem, t: Threshold,
              witness_budget: int = WITNESS_BUDGET):
     """``m0 -> MatchReport``, over one merged basis and one pair of cut
-    multisets computed here once; each call solves one flow."""
+    multisets computed here once; each call solves one flow.  A witness's
+    words are read off the same cut multisets."""
     _, e2, f2 = common_basis(e, f)
     left = cut_multiset(e2, t)
     right = cut_multiset(f2, t)
@@ -423,15 +374,14 @@ def _matcher(e: ContractionSystem, f: ContractionSystem, t: Threshold,
             return MatchReport(False, m0, None, None)
         witness = None
         if small:
-            cs_e = cut_set(e2, t)
-            cs_f = cut_set(f2, t)
+            (words_e, exps_e), (words_f, exps_f) = (_cut_words(e2, left),
+                                                    _cut_words(f2, right))
             rel = flows.degree_constrained_relation(
-                dict.fromkeys(range(len(cs_e.words)), 1),
-                dict.fromkeys(range(len(cs_f.words)), 1),
-                lambda i, j: allowed(cs_e.exponents[i], cs_f.exponents[j]), m0)
+                dict.fromkeys(range(len(words_e)), 1),
+                dict.fromkeys(range(len(words_f)), 1),
+                lambda i, j: allowed(exps_e[i], exps_f[j]), m0)
             if rel is not None:
-                witness = tuple((cs_e.words[i], cs_f.words[j])
-                                for i, j in sorted(rel))
+                witness = tuple((words_e[i], words_f[j]) for i, j in sorted(rel))
         return MatchReport(True, m0, sum(pairs.values()), witness)
 
     return match

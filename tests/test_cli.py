@@ -12,6 +12,7 @@ import pytest
 import froblip
 from froblip import cli, cones, frobenius, growth, selfsimilar, serialize
 from froblip.cli import main
+from froblip.lattice import read_fraction
 
 
 def write(tmp_path, name, doc):
@@ -399,6 +400,41 @@ def test_gamma_tiny_and_huge_directions(tmp_path, capsys, theta):
     expect = capsys.readouterr().out
     assert main(["gamma", s2, f"--theta={theta}"]) == 0
     assert capsys.readouterr().out == expect
+
+
+def test_decimal_exponents_up_to_the_cap_are_read(tmp_path, capsys):
+    s2 = write(tmp_path, "s2.json", {"rationals": ["1/2", "1/3"]})
+    assert main(["gamma", s2, "--analytic", "--theta=1,1"]) == 0
+    expect = capsys.readouterr().out
+    assert main(["gamma", s2, "--analytic", "--theta=1e400,1e400"]) == 0
+    assert capsys.readouterr().out == expect
+    assert read_fraction("1e400", "x") == 10 ** 400
+    assert read_fraction(" -2.5E-1000 ", "x") == Fraction(-5, 2 * 10 ** 1000)
+    assert read_fraction("1e1_000", "x") == 10 ** 1000
+
+
+HUGE = "1e100000000"
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["gamma", "{s}", f"--theta=1,{HUGE}"], "--theta"),
+    (["multiplicity", "{s}", "--bound", HUGE], "--bound"),
+    (["cutset", "{s}", "--exp-k", HUGE], "--exp-k"),
+    (["cutset", "{s}", "--t", HUGE], "--t"),
+    (["cutset", "{s}", "--exp-k", "1e" + "9" * 100_000], "--exp-k"),
+    (["matchable", "{s}", "{s}", "--exp-k", "1e1_000_000_000"], "--exp-k"),
+    (["build", "{huge}"], "rational"),
+], ids=["theta", "bound", "exp-k", "t", "exp-k-digits", "exp-k-underscores", "ratio"])
+def test_huge_decimal_exponent_exits_2_at_once(tmp_path, capsys, argv, field):
+    # 10**(10**8) would take minutes to build; the exponent is refused first
+    s = write(tmp_path, "s.json", {"rationals": ["1/2", "1/3"]})
+    huge = write(tmp_path, "huge.json", {"rationals": ["1/2", "1e-100000000"]})
+    start = time.perf_counter()
+    assert main([a.format(s=s, huge=huge) for a in argv]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert field in err and "EXPONENT_CAP = 1000" in err
+    assert err.count("\n") == 1
 
 
 def test_gamma_nonconverged_exit_4(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from froblip import equivalence, frobenius, serialize
+from froblip import equivalence, frobenius, poly, serialize
 from froblip.equivalence import (
     EQUIVALENT,
     NOT_EQUIVALENT,
@@ -20,7 +20,8 @@ from froblip.equivalence import (
 )
 from froblip.errors import ResourceLimit
 from froblip.lattice import Monomial, factor_rationals
-from froblip.selfsimilar import _brackets, build_system, iterate
+from froblip.poly import _brackets
+from froblip.selfsimilar import build_system, iterate
 
 
 def sym(*powers):
@@ -337,7 +338,7 @@ def test_coplanar_search_bound_undecided(monkeypatch):
     refuted = (sym({"u": 2}, {"u": 2}, uv, {"v": 2}), sym(u, v))
     assert decide(*equivalent).reason == "ITERATION_PERMUTATION"
     assert decide(*refuted).reason == "NO_ITERATION_PERMUTATION"
-    monkeypatch.setattr(equivalence, "ITERATION_BUDGET", 3)
+    monkeypatch.setattr(poly, "ITERATION_BUDGET", 3)
     v = decide(*equivalent)
     assert (v.result, v.reason) == (UNDECIDED, "SEARCH_BOUND")
     assert v.certificate["budget"] == 3
@@ -354,12 +355,12 @@ def test_large_axis_supported_pair_is_refuted_without_expansion(monkeypatch):
     e = sym(*({x: 1} for x in names))
     f = sym(*({x: 1} for x in names for _ in range(2)))
     with pytest.raises(ResourceLimit):
-        equivalence._power(Counter(e.exponents), 6)
+        poly._power(Counter(e.exponents), 6)
 
     def no_expansion(poly, k):
         raise AssertionError("expanded")
 
-    monkeypatch.setattr(equivalence, "_power", no_expansion)
+    monkeypatch.setattr(poly, "_power", no_expansion)
     v = decide(e, f)
     assert (v.result, v.reason, v.certificate) == (
         NOT_EQUIVALENT, "NO_ITERATION_PERMUTATION", {"p": 6, "q": 5})

@@ -251,6 +251,30 @@ def test_gamma_matches_dual_ray_scan():
         checked += 1
 
 
+def test_gamma_near_a_facet_matches_dual_ray_scan():
+    # directions close to a facet of the quadrant, where a line search on
+    # the larger of two residuals stalled from lambda = 0 (exit 4)
+    vectors = ((1, 0), (0, 1), (1, 1), (3, 3), (1, 0))
+    for theta, want in (((1, 20), 0.254826), ((1, 25), 0.212802)):
+        g = _gamma(vectors, theta)
+        assert abs(g - ray_scan_gamma(vectors, theta)) < 1e-6
+        assert abs(g - want) < 5e-7
+    # the axes plus 1-3 vectors with entries 0-3, at the angles pi k / 80
+    # next to the two facets; two of these systems stalled
+    rng = random.Random(0)
+    systems = 0
+    while systems < 60:
+        vectors = [(1, 0), (0, 1)] + [(rng.randint(0, 3), rng.randint(0, 3))
+                                      for _ in range(rng.randint(1, 3))]
+        if (0, 0) in vectors:
+            continue
+        systems += 1
+        data = make_defining_data(vectors)
+        for k in (1, 2, 38, 39):
+            theta = (math.cos(math.pi * k / 80), math.sin(math.pi * k / 80))
+            assert abs(gamma(data, theta) - ray_scan_gamma(vectors, theta)) < 1e-6
+
+
 def _numpy_max_entropy(vectors, point):
     """Oracle: the maximal entropy of a probability vector p with sum_j p_j
     X_j = point, for an exact point of the hull.  Damped Newton on numpy,

@@ -537,6 +537,28 @@ def test_matchable_search_cuts_once(monkeypatch):
     assert len(cuts) == 2
 
 
+def test_matchable_walks_each_cut_once(monkeypatch):
+    # the witness words are read off the cut multisets: one walk per side
+    walks = []
+    real_walk = selfsimilar._walk
+
+    def counted_walk(*args, **kwargs):
+        walks.append(args[0])
+        return real_walk(*args, **kwargs)
+
+    monkeypatch.setattr(selfsimilar, "_walk", counted_walk)
+    a = build_system(["1/2", "1/3"])
+    b = build_system(["1/4", "1/6", "1/6", "1/9"])
+    rep = matchable(a, b, ExpThreshold(4), 4)
+    assert rep.feasible and rep.witness
+    assert len(walks) == 2
+    walks.clear()
+    cs_a, cs_b = cut_set(a, ExpThreshold(4)), cut_set(b, ExpThreshold(4))
+    assert {w for w, _ in rep.witness} == set(cs_a.words)
+    assert {w for _, w in rep.witness} == set(cs_b.words)
+    assert len(walks) == 2
+
+
 def test_matchable_search_rejects_m0_limit_below_1(monkeypatch):
     def no_cut_work(*args, **kwargs):
         raise AssertionError("cut-set work before the m0_limit check")
