@@ -6,6 +6,8 @@ growth rates, enumerates threshold cut-sets, decides degree-bounded
 matchability between cut-sets, and combines these into an equivalence
 decider for dust-like self-similar sets.
 """
+__version__ = "0.1.0"  # before the imports: ``serialize`` reads it
+
 from .cones import (
     Cone,
     HalfSpaceCertificate,
@@ -71,8 +73,6 @@ from .selfsimilar import (
     matchable,
     matchable_search,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BasisMismatch",

@@ -14,13 +14,13 @@ rational and real feasibility coincide for every question asked here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
 from . import ratlp
 from .errors import DimensionMismatch, FroblipError, NoHalfSpace, ResourceLimit
+from .record import Record
 
 # rays the double description may hold at once: a random cone of 40
 # generators in Z^8 has about 2700 facets, found in about 2 s
@@ -102,21 +102,21 @@ def _integral(x) -> tuple:
     return tuple(v.numerator * (scale // v.denominator) for v in x)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     """Conical hull of a nonempty multiset of integer generators."""
 
-    generators: tuple
+    _fields = ("generators",)
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, generators: tuple):
+        if not generators:
             raise FroblipError("cone needs at least one generator")
-        s = len(self.generators[0])
-        for g in self.generators:
+        s = len(generators[0])
+        for g in generators:
             if len(g) != s:
                 raise DimensionMismatch("cone generators of mixed dimension")
-        if all(all(x == 0 for x in g) for g in self.generators):
+        if all(all(x == 0 for x in g) for g in generators):
             raise FroblipError("all cone generators are zero")
+        self._set(generators)
 
     @property
     def dim(self) -> int:
@@ -185,11 +185,13 @@ def cone_equal(a: Cone, b: Cone) -> bool:
     return cone_separation(a, b) is None
 
 
-@dataclass(frozen=True)
-class HalfSpaceCertificate:
+class HalfSpaceCertificate(Record):
     """Exact rational functional with alpha . g > 0 for every generator."""
 
-    alpha: tuple
+    _fields = ("alpha",)
+
+    def __init__(self, alpha: tuple):
+        self._set(alpha)
 
 
 def half_space_certificate(c: Cone) -> HalfSpaceCertificate:

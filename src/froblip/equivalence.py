@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -23,6 +22,7 @@ from . import poly
 from .cones import cone_separation
 from .errors import IncompatibleSymbolicBases, ResourceLimit
 from .lattice import coplanar, factor_integer, integer_rank, reduce_to_pseudo_basis
+from .record import Record
 from .selfsimilar import ContractionSystem, _root, common_basis, iterate
 
 EQUIVALENT = "EQUIVALENT"
@@ -32,28 +32,26 @@ UNDECIDED = "UNDECIDED"
 PERMUTATION_CERT_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class Verdict:
-    result: str
-    reason: str
-    certificate: Optional[dict] = None
-    diagnostics: Optional[dict] = None
+class Verdict(Record):
+    _fields = ("result", "reason", "certificate", "diagnostics")
+
+    def __init__(self, result: str, reason: str, certificate: Optional[dict] = None,
+                 diagnostics: Optional[dict] = None):
+        self._set(result, reason, certificate, diagnostics)
 
 
-@dataclass(frozen=True)
-class _Pair:
+class _Pair(Record):
     """Facts about a pair, computed once.  ``e2``/``f2`` are ``e``/``f``
     over one merged pseudo-basis; ``points_*`` count their exponent points,
     in first-seen order (a repeated point changes no rank, and a repeated
     row of <eta, X_j> = 1 is the same equation)."""
 
-    e: ContractionSystem
-    f: ContractionSystem
-    e2: ContractionSystem
-    f2: ContractionSystem
-    points_e: Counter
-    points_f: Counter
-    ranks: tuple
+    _fields = ("e", "f", "e2", "f2", "points_e", "points_f", "ranks")
+
+    def __init__(self, e: ContractionSystem, f: ContractionSystem,
+                 e2: ContractionSystem, f2: ContractionSystem,
+                 points_e: Counter, points_f: Counter, ranks: tuple):
+        self._set(e, f, e2, f2, points_e, points_f, ranks)
 
 
 def _pair(e: ContractionSystem, f: ContractionSystem) -> _Pair:

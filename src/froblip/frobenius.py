@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -29,22 +28,22 @@ from .errors import (
     ResourceLimit,
 )
 from .poly import _walk
+from .record import Record
 
 R_CAP = 8  # nearest-point search radius cap (Euclidean)
 DEFAULT_POINT_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class DefiningData:
+class DefiningData(Record):
     """Integer step vectors together with a strict half-space certificate."""
 
-    vectors: tuple
-    alpha: tuple
+    _fields = ("vectors", "alpha")
 
-    def __post_init__(self):
-        for v in self.vectors:
-            if sum(Fraction(a) * x for a, x in zip(self.alpha, v)) <= 0:
+    def __init__(self, vectors: tuple, alpha: tuple):
+        for v in vectors:
+            if sum(Fraction(a) * x for a, x in zip(alpha, v)) <= 0:
                 raise FroblipError(f"vector {v} violates the half-space condition")
+        self._set(vectors, alpha)
 
     @property
     def dim(self) -> int:
@@ -87,13 +86,19 @@ def make_defining_data(vectors: Sequence[Sequence[int]],
     return DefiningData(vecs, tuple(Fraction(a) for a in alpha))
 
 
-@dataclass
-class MultiplicityTable:
+class MultiplicityTable(Record):
     """Exact path counts over the truncated region z . alpha <= bound."""
 
-    data: DefiningData
-    bound: Fraction
-    counts: dict = field(repr=False)
+    _fields = ("data", "bound", "counts")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, data: DefiningData, bound: Fraction, counts: dict):
+        self._set(data, bound, counts)
+
+    def __repr__(self):
+        return f"MultiplicityTable(data={self.data!r}, bound={self.bound!r})"
 
     @cached_property
     def fully_determined_bound(self) -> Fraction:
@@ -165,14 +170,14 @@ def log_big(n: int) -> float:
     return math.log(n >> shift) + shift * math.log(2)
 
 
-@dataclass(frozen=True)
-class GrowthEstimate:
-    """OLS estimate of the exponential growth of counts along a ray."""
+class GrowthEstimate(Record):
+    """OLS estimate of the exponential growth of counts along a ray;
+    ``samples`` holds (k, log m(k theta)) pairs at increasing k."""
 
-    theta: tuple
-    gamma_hat: float
-    samples: tuple  # (k, log m(k theta)) pairs at increasing k
-    stderr: float
+    _fields = ("theta", "gamma_hat", "samples", "stderr")
+
+    def __init__(self, theta: tuple, gamma_hat: float, samples: tuple, stderr: float):
+        self._set(theta, gamma_hat, samples, stderr)
 
 
 def _unit(theta: Sequence) -> tuple:

@@ -9,25 +9,27 @@ basis holds the reciprocals of an independent coprime base: ``coprime_base``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import DimensionMismatch, FroblipError, ParseError
+from .record import Record
 
 TRIAL_LIMIT = 2 ** 16  # trial division tries the divisors below this
 EXPONENT_CAP = 1000  # largest decimal exponent magnitude ``read_fraction`` reads
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """Formal product of named generators with integer exponents.
 
     ``powers`` is sorted by generator name; zero exponents are dropped.
     """
 
-    powers: tuple
+    _fields = ("powers",)
+
+    def __init__(self, powers: tuple):
+        self._set(powers)
 
     @staticmethod
     def make(powers: dict) -> "Monomial":
@@ -63,18 +65,18 @@ class Monomial:
 RatioValue = Union[Fraction, Monomial]
 
 
-@dataclass(frozen=True)
-class PseudoBasis:
+class PseudoBasis(Record):
     """Ordered basis values; each numeric value must lie in (0,1)."""
 
-    values: tuple
+    _fields = ("values",)
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values: tuple):
+        if not values:
             raise FroblipError("empty pseudo-basis")
-        for v in self.values:
+        for v in values:
             if isinstance(v, Fraction) and not (0 < v < 1):
                 raise FroblipError(f"basis value {v} outside (0,1)")
+        self._set(values)
 
     @property
     def size(self) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -34,6 +33,7 @@ from .lattice import (
     reduce_to_pseudo_basis,
 )
 from .poly import ITERATION_BUDGET, _Brackets, _walk
+from .record import Record
 
 SCORE_ERR = 2.0 ** -45  # float e^{-k} score error per unit of k and denominator bit
 K_CAP = Fraction(2 ** 1000)  # stands in for a larger k (no float) in the float test
@@ -41,29 +41,28 @@ DEFAULT_WORD_BUDGET = 500_000
 WITNESS_BUDGET = 2000  # words per cut-set up to which matchable builds a witness
 
 
-@dataclass(frozen=True)
-class ExpThreshold:
+class ExpThreshold(Record):
     """Threshold e^{-k}; for symbolic rank-1 systems this is the exponent
     level k directly (the generator plays the role of 1/e)."""
 
-    k: Fraction
+    _fields = ("k",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", Fraction(self.k))
-        if self.k <= 0:
+    def __init__(self, k: Fraction):
+        k = Fraction(k)
+        if k <= 0:
             raise FroblipError("threshold exponent must be positive")
+        self._set(k)
 
 
 Threshold = Union[Fraction, ExpThreshold, Monomial]
 
 
-@dataclass(frozen=True)
-class ContractionSystem:
-    ratios: tuple
-    basis: PseudoBasis
-    exponents: tuple
-    delta: Optional[float]
-    alpha: tuple
+class ContractionSystem(Record):
+    _fields = ("ratios", "basis", "exponents", "delta", "alpha")
+
+    def __init__(self, ratios: tuple, basis: PseudoBasis, exponents: tuple,
+                 delta: Optional[float], alpha: tuple):
+        self._set(ratios, basis, exponents, delta, alpha)
 
     @property
     def m(self) -> int:
@@ -254,14 +253,14 @@ def _ratio_below(system: ContractionSystem, exponent, t: Threshold) -> bool:
     raise FroblipError(f"unsupported threshold {t!r}")
 
 
-@dataclass(frozen=True)
-class CutSet:
+class CutSet(Record):
     """Maximal antichain of words whose ratio first drops to <= t."""
 
-    threshold: Threshold
-    words: tuple
-    ratios: tuple
-    exponents: tuple
+    _fields = ("threshold", "words", "ratios", "exponents")
+
+    def __init__(self, threshold: Threshold, words: tuple, ratios: tuple,
+                 exponents: tuple):
+        self._set(threshold, words, ratios, exponents)
 
 
 def cut_set(system: ContractionSystem, t: Threshold,
@@ -343,12 +342,12 @@ def common_basis(a: ContractionSystem, b: ContractionSystem):
     return basis, a2, b2
 
 
-@dataclass(frozen=True)
-class MatchReport:
-    feasible: bool
-    m0: int
-    relation_size: Optional[int]
-    witness: Optional[tuple]
+class MatchReport(Record):
+    _fields = ("feasible", "m0", "relation_size", "witness")
+
+    def __init__(self, feasible: bool, m0: int, relation_size: Optional[int],
+                 witness: Optional[tuple]):
+        self._set(feasible, m0, relation_size, witness)
 
 
 def _matcher(e: ContractionSystem, f: ContractionSystem, t: Threshold,

@@ -5,14 +5,14 @@ import json
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import __version__
 from .equivalence import Verdict
 from .errors import ParseError
 from .lattice import Monomial, parse_rational
 from .selfsimilar import (ContractionSystem, CutSet, MatchReport, _coordinates,
                           build_system)
 
-VERSION = "0.1.0"
-CSV_HEADER = f"# frobenius-lipschitz v{VERSION}"
+CSV_HEADER = f"# frobenius-lipschitz v{__version__}"
 
 
 def _frac_str(x: Fraction) -> str:
