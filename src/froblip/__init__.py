@@ -10,8 +10,6 @@ __version__ = "0.1.0"  # before the imports: ``serialize`` reads it
 
 from .cones import (
     Cone,
-    HalfSpaceCertificate,
-    cone_equal,
     cone_member,
     cone_separation,
     half_space_certificate,
@@ -26,7 +24,6 @@ from .equivalence import (
     screen_invariants,
 )
 from .errors import (
-    BasisMismatch,
     DimensionMismatch,
     DirectionOutsideCone,
     FroblipError,
@@ -63,7 +60,6 @@ from .selfsimilar import (
     CutSet,
     ExpThreshold,
     MatchReport,
-    a_k_set,
     build_system,
     common_basis,
     cut_multiset,
@@ -75,7 +71,6 @@ from .selfsimilar import (
 )
 
 __all__ = [
-    "BasisMismatch",
     "Cone",
     "ContractionSystem",
     "CutSet",
@@ -87,7 +82,6 @@ __all__ = [
     "FroblipError",
     "GcdNotOne",
     "GrowthEstimate",
-    "HalfSpaceCertificate",
     "IncompatibleSymbolicBases",
     "MatchReport",
     "Monomial",
@@ -101,11 +95,9 @@ __all__ = [
     "ResourceLimit",
     "UNDECIDED",
     "Verdict",
-    "a_k_set",
     "build_multiplicity",
     "build_system",
     "common_basis",
-    "cone_equal",
     "cone_member",
     "cone_separation",
     "coplanar",

@@ -33,7 +33,7 @@ EXIT_RESOURCE = 3
 EXIT_DOMAIN = 4
 EXIT_NOT_EQUIVALENT = 10
 EXIT_UNDECIDED = 11
-SWEEP_CANDIDATES = 100_000  # grid points a 3-D sweep tests at most
+SWEEP_CANDIDATES = 100_000  # directions a 2-D sweep builds, grid points a 3-D one tests
 
 
 def _emit(text: str, out: Optional[str]):
@@ -52,9 +52,10 @@ def _sweep_directions(data, n: int):
     """At most n directions inside the cone of the step vectors.
 
     Dimension 1: the single ray; dimension 2: n evenly spaced angles on
-    the arc spanned by the vectors; dimension 3: the first n points of a
-    40 n-point Fibonacci sphere that lie in the cone, trying at most
-    SWEEP_CANDIDATES points.  Higher dimensions need ``--theta``.
+    the arc spanned by the vectors, n at most SWEEP_CANDIDATES; dimension
+    3: the first n points of a 40 n-point Fibonacci sphere that lie in the
+    cone, trying at most SWEEP_CANDIDATES points.  Higher dimensions need
+    ``--theta``.
     """
     if n < 1:
         raise FroblipError(f"--dirs must be >= 1, got {n}")
@@ -62,6 +63,9 @@ def _sweep_directions(data, n: int):
     if s == 1:
         return [(1.0,)]
     if s == 2:
+        if n > SWEEP_CANDIDATES:
+            raise ResourceLimit(f"--dirs {n} exceeds SWEEP_CANDIDATES = "
+                                f"{SWEEP_CANDIDATES} directions of a 2-D sweep")
         angles = sorted(math.atan2(v[1], v[0]) for v in data.vectors)
         lo, hi = angles[0], angles[-1]
         pad = (hi - lo) / (2 * n) if hi > lo else 0.0

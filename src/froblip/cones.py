@@ -180,22 +180,9 @@ def cone_separation(a: Cone, b: Cone) -> Optional[tuple]:
     return None
 
 
-def cone_equal(a: Cone, b: Cone) -> bool:
-    """True iff the two conical hulls coincide."""
-    return cone_separation(a, b) is None
-
-
-class HalfSpaceCertificate(Record):
-    """Exact rational functional with alpha . g > 0 for every generator."""
-
-    _fields = ("alpha",)
-
-    def __init__(self, alpha: tuple):
-        self._set(alpha)
-
-
-def half_space_certificate(c: Cone) -> HalfSpaceCertificate:
-    """A strict rational separating functional for the cone's generators.
+def half_space_certificate(c: Cone) -> tuple:
+    """A strict rational separating functional alpha for the cone's
+    generators, with alpha . g > 0 for every generator g.
 
     Found by maximizing the minimum slack t subject to the l1 normalization
     ||alpha||_1 <= 1; any alpha with strictly positive slacks is a valid
@@ -225,5 +212,4 @@ def half_space_certificate(c: Cone) -> HalfSpaceCertificate:
     status, x, value = ratlp.lp_max(obj, A, b)
     if status != ratlp.OPTIMAL or value is None or value <= 0:
         raise NoHalfSpace("generators admit no open half-space")
-    alpha = tuple(x[i] - x[s + i] for i in range(s))
-    return HalfSpaceCertificate(alpha)
+    return tuple(x[i] - x[s + i] for i in range(s))

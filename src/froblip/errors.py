@@ -33,10 +33,6 @@ class NotConverged(FroblipError):
     """The growth-rate Newton solve stopped above its residual tolerance."""
 
 
-class BasisMismatch(FroblipError):
-    """Two systems were combined without a common pseudo-basis."""
-
-
 class IncompatibleSymbolicBases(FroblipError):
     """Symbolic systems over unrelated formal generators."""
 

@@ -15,29 +15,50 @@ from typing import Optional
 _INF = 10 ** 18
 
 
-def _circulation_feasible(nodes, arcs):
-    """arcs: list of (u, v, low, cap).  Returns flow dict per arc or None.
+def degree_constrained_relation(left_counts: dict, right_counts: dict,
+                                allowed, m0: int) -> Optional[dict]:
+    """Aggregated feasibility of a [1, m0]-degree relation between groups.
 
-    The flow runs on integer ids given in the order of ``nodes``: labels
-    such as strings hash differently under each PYTHONHASHSEED, and
-    networkx would then return a different (equally valid) flow.
+    ``left_counts``/``right_counts`` map group keys to word counts (1 per
+    key for single words); ``allowed(z, w)`` says whether words of the two
+    groups may be related.  Returns the pair-count matrix {(z, w): pairs}
+    when feasible, else None.
+
+    The circulation runs on integer nodes: 0 the source, 1 the sink, then
+    the sorted left keys, then the sorted right keys.  Labels such as
+    strings hash differently under each PYTHONHASHSEED, and networkx would
+    then return a different (equally valid) flow.
     """
     import networkx as nx
 
-    ids = {n: i for i, n in enumerate(nodes)}
-    ss, tt = len(nodes), len(nodes) + 1
+    if m0 < 1:
+        return None
+    lefts = sorted(left_counts)
+    rights = sorted(right_counts)
+    n = 2 + len(lefts) + len(rights)
+    ss, tt = n, n + 1
     G = nx.DiGraph()
-    G.add_nodes_from(range(len(nodes) + 2))
-    excess = [0] * len(nodes)
-    for u, v, low, cap in arcs:
-        if cap < low:
-            return None
-        iu, iv = ids[u], ids[v]
-        if G.has_edge(iu, iv):
-            raise ValueError("parallel arcs not supported")
-        G.add_edge(iu, iv, capacity=cap - low)
-        excess[iv] += low
-        excess[iu] -= low
+    G.add_nodes_from(range(n + 2))
+    # an arc with flow in [low, cap] keeps capacity cap - low; its lower
+    # bound moves into the excess of its ends, balanced through ss and tt
+    excess = [0] * n
+    for i, z in enumerate(lefts, 2):  # source -> left, [c, m0 c]
+        c = left_counts[z]
+        G.add_edge(0, i, capacity=(m0 - 1) * c)
+        excess[i] = c
+        excess[0] -= c
+    for j, w in enumerate(rights, 2 + len(lefts)):  # right -> sink, [d, m0 d]
+        d = right_counts[w]
+        G.add_edge(j, 1, capacity=(m0 - 1) * d)
+        excess[1] += d
+        excess[j] = -d
+    arcs = []
+    for i, z in enumerate(lefts, 2):
+        for j, w in enumerate(rights, 2 + len(lefts)):
+            if allowed(z, w):
+                G.add_edge(i, j, capacity=left_counts[z] * right_counts[w])
+                arcs.append((i, j, z, w))
+    G.add_edge(1, 0, capacity=_INF)
     total = 0
     for i, x in enumerate(excess):
         if x > 0:
@@ -48,40 +69,4 @@ def _circulation_feasible(nodes, arcs):
     value, flow = nx.maximum_flow(G, ss, tt)
     if value != total:
         return None
-    return {(u, v): flow[ids[u]][ids[v]] + low for u, v, low, cap in arcs}
-
-
-def degree_constrained_relation(left_counts: dict, right_counts: dict,
-                                allowed, m0: int) -> Optional[dict]:
-    """Aggregated feasibility of a [1, m0]-degree relation between groups.
-
-    ``left_counts``/``right_counts`` map group keys to word counts (1 per
-    key for single words); ``allowed(z, w)`` says whether words of the two
-    groups may be related.  Returns the pair-count matrix {(z, w): pairs}
-    when feasible, else None.
-    """
-    lefts = sorted(left_counts)
-    rights = sorted(right_counts)
-    nodes = ["_S", "_T"] + [("L", z) for z in lefts] + [("R", w) for w in rights]
-    arcs = []
-    for z in lefts:
-        c = left_counts[z]
-        arcs.append(("_S", ("L", z), c, m0 * c))
-    for w in rights:
-        d = right_counts[w]
-        arcs.append((("R", w), "_T", d, m0 * d))
-    for z in lefts:
-        for w in rights:
-            if allowed(z, w):
-                arcs.append((("L", z), ("R", w),
-                             0, left_counts[z] * right_counts[w]))
-    arcs.append(("_T", "_S", 0, _INF))
-    sol = _circulation_feasible(nodes, arcs)
-    if sol is None:
-        return None
-    pairs = {}
-    for (u, v), f in sol.items():
-        if isinstance(u, tuple) and u[0] == "L" and isinstance(v, tuple) and f > 0:
-            pairs[(u[1], v[1])] = f
-    return pairs
-
+    return {(z, w): flow[i][j] for i, j, z, w in arcs if flow[i][j] > 0}

@@ -32,6 +32,7 @@ from .record import Record
 
 R_CAP = 8  # nearest-point search radius cap (Euclidean)
 DEFAULT_POINT_BUDGET = 2_000_000
+K_COUNT_CAP = 10_000  # radii an empirical growth estimate samples at most
 
 
 class DefiningData(Record):
@@ -82,7 +83,7 @@ def make_defining_data(vectors: Sequence[Sequence[int]],
     """Assemble defining data, deriving a rational certificate when absent."""
     vecs = tuple(tuple(map(int, v)) for v in vectors)
     if alpha is None:
-        alpha = half_space_certificate(Cone(vecs)).alpha
+        alpha = half_space_certificate(Cone(vecs))
     return DefiningData(vecs, tuple(Fraction(a) for a in alpha))
 
 
@@ -200,10 +201,13 @@ def _unit(theta: Sequence) -> tuple:
 
 def _check_radii(k_max: float, k_count: int = 2):
     """Raise FroblipError unless 0 < k_max / 16, k_max < inf and
-    k_count >= 2 (the smallest radius is k_max / 16, and its log is taken)."""
+    k_count >= 2 (the smallest radius is k_max / 16, and its log is taken),
+    and ResourceLimit for k_count above K_COUNT_CAP."""
     if not (0 < k_max / 16.0 and k_max < math.inf and k_count >= 2):
         raise FroblipError(f"need 0 < k_max / 16, k_max < inf and k_count >= 2, "
                            f"got k_max={k_max}, k_count={k_count}")
+    if k_count > K_COUNT_CAP:
+        raise ResourceLimit(f"k_count {k_count} exceeds K_COUNT_CAP = {K_COUNT_CAP}")
 
 
 def gamma_table_bound(data: DefiningData, theta: Sequence,

@@ -104,15 +104,12 @@ class PseudoBasis(Record):
             m = m * (v ** e)
         return m
 
-    def alpha_real(self) -> tuple:
-        """-(log b_1,...,log b_s), as log(denominator) - log(numerator)."""
-        return self._alpha_real
-
     # Per-basis values that every threshold test of a cut walk reads:
     # computed on first use and kept on this instance only.
 
     @cached_property
-    def _alpha_real(self) -> tuple:
+    def alpha_real(self) -> tuple:
+        """-(log b_1,...,log b_s), as log(denominator) - log(numerator)."""
         if not self.is_numeric:
             raise FroblipError("symbolic basis has no numeric log values")
         return tuple(math.log(v.denominator) - math.log(v.numerator)

@@ -19,12 +19,7 @@ from typing import Optional, Sequence, Union
 
 from . import flows
 from .cones import Cone, half_space_certificate
-from .errors import (
-    BasisMismatch,
-    FroblipError,
-    IncompatibleSymbolicBases,
-    ResourceLimit,
-)
+from .errors import FroblipError, IncompatibleSymbolicBases, ResourceLimit
 from .lattice import (
     Monomial,
     PseudoBasis,
@@ -54,7 +49,7 @@ class ExpThreshold(Record):
         self._set(k)
 
 
-Threshold = Union[Fraction, ExpThreshold, Monomial]
+Threshold = Union[Fraction, ExpThreshold]
 
 
 class ContractionSystem(Record):
@@ -179,7 +174,7 @@ def build_system(ratios: Sequence) -> ContractionSystem:
     basis, vectors = _coordinates(values)
     delta = None if kinds == {True} else hausdorff_dimension(values)
     basis, vectors = reduce_to_pseudo_basis(basis, vectors)
-    alpha = half_space_certificate(Cone(tuple(vectors))).alpha
+    alpha = half_space_certificate(Cone(tuple(vectors)))
     return ContractionSystem(tuple(values), basis, tuple(vectors), delta, alpha)
 
 
@@ -226,16 +221,6 @@ def _ratio_below(system: ContractionSystem, exponent, t: Threshold) -> bool:
         if system.is_symbolic:
             raise FroblipError("rational thresholds need a numeric system")
         return system.basis.eval_exact(exponent) <= t
-    if isinstance(t, Monomial):
-        # symbolic threshold: must be a power of the (single) reduced generator
-        if not system.is_symbolic or system.dim != 1:
-            raise FroblipError("monomial thresholds need a symbolic rank-1 system")
-        base = system.basis.values[0]
-        g, e = base.powers[0]
-        level, rem = divmod(t.as_dict().get(g, 0), e)
-        if rem or base ** level != t:
-            raise BasisMismatch(f"threshold {t} not a power of {base}")
-        return exponent[0] >= level
     if isinstance(t, ExpThreshold):
         if system.is_symbolic:
             if system.dim != 1:
@@ -244,7 +229,7 @@ def _ratio_below(system: ContractionSystem, exponent, t: Threshold) -> bool:
                 )
             return Fraction(exponent[0]) >= t.k
         basis, kf = system.basis, float(min(t.k, K_CAP))
-        score = math.fsum(e * a for e, a in zip(exponent, basis.alpha_real()))
+        score = math.fsum(e * a for e, a in zip(exponent, basis.alpha_real))
         margin = SCORE_ERR * (kf + sum(abs(e) * b for e, b in
                                        zip(exponent, basis.denominator_bits)))
         if abs(score - kf) > margin and (score < kf or t.k < K_CAP):
@@ -313,12 +298,6 @@ def cut_multiset(system: ContractionSystem, t: Threshold,
                  leaf=lambda z: _ratio_below(system, z, t))[1]
 
 
-def a_k_set(system: ContractionSystem, k) -> dict:
-    """Lattice points visited by the cut-set at threshold e^{-k}, with
-    big-integer word counts per point."""
-    return cut_multiset(system, ExpThreshold(Fraction(k)))
-
-
 def common_basis(a: ContractionSystem, b: ContractionSystem):
     """Re-express two systems over one merged pseudo-basis.
 
@@ -336,7 +315,7 @@ def common_basis(a: ContractionSystem, b: ContractionSystem):
             f"generators {gens[0]} vs {gens[1]} have no known relation")
     basis, vectors = _coordinates(a.ratios + b.ratios)
     va, vb = vectors[: a.m], vectors[a.m:]
-    alpha = half_space_certificate(Cone(tuple(va) + tuple(vb))).alpha
+    alpha = half_space_certificate(Cone(tuple(va) + tuple(vb)))
     a2 = ContractionSystem(a.ratios, basis, tuple(va), a.delta, alpha)
     b2 = ContractionSystem(b.ratios, basis, tuple(vb), b.delta, alpha)
     return basis, a2, b2

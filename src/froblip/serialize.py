@@ -106,15 +106,12 @@ def system_to_json(system: ContractionSystem) -> dict:
 
 
 def verdict_to_json(v: Verdict) -> dict:
-    cert = None
-    if v.certificate is not None:
-        cert = dict(v.certificate)
-        if "permutation" in cert and cert["permutation"] is not None:
-            cert["permutation"] = list(cert["permutation"])
+    """The verdict as a JSON document; ``json`` writes the certificate's
+    tuples as lists."""
     return {
         "result": v.result,
         "reason": v.reason,
-        "certificate": cert,
+        "certificate": v.certificate,
         "diagnostics": v.diagnostics,
     }
 

@@ -437,6 +437,21 @@ def test_huge_decimal_exponent_exits_2_at_once(tmp_path, capsys, argv, field):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, budget", [
+    (["gamma", "{s}", "--dirs", str(10 ** 12)], "SWEEP_CANDIDATES"),
+    (["gamma", "{s}", "--k-count", str(10 ** 12)], "K_COUNT_CAP"),
+], ids=["dirs", "k-count"])
+def test_huge_gamma_sweep_exits_3_at_once(tmp_path, capsys, argv, budget):
+    # 10**12 directions or radii would take weeks; both are refused first
+    s = write(tmp_path, "s.json", {"rationals": ["1/2", "1/3"]})
+    start = time.perf_counter()
+    assert main([a.format(s=s) for a in argv]) == 3
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("error: ") and budget in out.err
+
+
 def test_gamma_nonconverged_exit_4(tmp_path, capsys, monkeypatch):
     # no Newton step: lambda = 0 is not on sum_j e^(-lambda . X_j) = 1
     monkeypatch.setattr(growth, "MAX_NEWTON_ITERS", 0)

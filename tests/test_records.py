@@ -13,7 +13,6 @@ from froblip import (
     ExpThreshold,
     FroblipError,
     GrowthEstimate,
-    HalfSpaceCertificate,
     MatchReport,
     Monomial,
     PseudoBasis,
@@ -52,9 +51,6 @@ CASES = {
                     PseudoBasis((HALF,)), True, BASIS_REPR),
     "Cone": (lambda: Cone(((1, 0), (0, 1))), Cone(((1, 0), (1, 1))), True,
              "Cone(generators=((1, 0), (0, 1)))"),
-    "HalfSpaceCertificate": (
-        lambda: HalfSpaceCertificate((HALF, HALF)), HalfSpaceCertificate((HALF, THIRD)),
-        True, "HalfSpaceCertificate(alpha=(Fraction(1, 2), Fraction(1, 2)))"),
     "Verdict": (lambda: Verdict("EQUIVALENT", "ITERATION_PERMUTATION", {"p": 1}),
                 Verdict("EQUIVALENT", "ITERATION_PERMUTATION", {"p": 2}), False,
                 "Verdict(result='EQUIVALENT', reason='ITERATION_PERMUTATION', "
@@ -93,7 +89,6 @@ FIELDS = {
     "Monomial": ("powers",),
     "PseudoBasis": ("values",),
     "Cone": ("generators",),
-    "HalfSpaceCertificate": ("alpha",),
     "Verdict": ("result", "reason", "certificate", "diagnostics"),
     "_Pair": ("e", "f", "e2", "f2", "points_e", "points_f", "ranks"),
     "DefiningData": ("vectors", "alpha"),
@@ -185,7 +180,7 @@ def test_multiplicity_table_compares_counts():
 
 
 @pytest.mark.parametrize("build, attr", [
-    (lambda: PseudoBasis((HALF, THIRD)), "_alpha_real"),
+    (lambda: PseudoBasis((HALF, THIRD)), "alpha_real"),
     (lambda: PseudoBasis((HALF, THIRD)), "denominator_bits"),
     (lambda: PseudoBasis((HALF, THIRD)), "log_brackets"),
     (lambda: Cone(((1, 0), (0, 1))), "h_representation"),

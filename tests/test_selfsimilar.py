@@ -18,7 +18,6 @@ import froblip
 from froblip import flows, selfsimilar
 from froblip.equivalence import EQUIVALENT, decide
 from froblip.errors import (
-    BasisMismatch,
     FroblipError,
     IncompatibleSymbolicBases,
     ResourceLimit,
@@ -26,7 +25,6 @@ from froblip.errors import (
 from froblip.lattice import Monomial
 from froblip.selfsimilar import (
     ExpThreshold,
-    a_k_set,
     build_system,
     common_basis,
     cut_multiset,
@@ -250,10 +248,10 @@ def test_cut_multiset_deep_threshold_big_counts():
 def test_a_k_band():
     # every cut point satisfies k <= b.alpha_real < k - log(rho_min)
     s = build_system(["1/2", "1/4"])
-    alpha_real = s.basis.alpha_real()
+    alpha_real = s.basis.alpha_real
     span = -math.log(float(min(s.ratios)))
     for k in (5, 10, 20, 40):
-        pts = a_k_set(s, k)
+        pts = cut_multiset(s, ExpThreshold(k))
         assert pts
         for b in pts:
             score = sum(a * x for a, x in zip(alpha_real, b))
@@ -382,15 +380,14 @@ def test_cut_set_compares_each_point_once(monkeypatch, ratios, t):
 
 
 def test_monomial_threshold_on_a_reduced_generator():
-    # {uv, u^2 v^2} reduces to the one generator uv: u^4 v^4 is (uv)^4,
-    # and u^4 v^3 is no power of uv
+    # {uv, u^2 v^2} reduces to the one generator uv: level 4 is (uv)^4
     s = build_system([Monomial.make({"u": 1, "v": 1}),
                       Monomial.make({"u": 2, "v": 2})])
     assert s.basis.values == (Monomial.make({"u": 1, "v": 1}),)
     t = Monomial.make({"u": 4, "v": 4})
-    assert cut_set(s, t).words == _brute_cut_words(s, t)
-    with pytest.raises(BasisMismatch):
-        cut_set(s, Monomial.make({"u": 4, "v": 3}))
+    assert cut_set(s, ExpThreshold(4)).words == _brute_cut_words(s, t)
+    with pytest.raises(FroblipError, match="unsupported threshold"):
+        cut_set(s, t)
 
 
 def test_cut_walk_refuses_huge_exp_threshold():
@@ -511,6 +508,16 @@ def test_matchable_infeasible_distance():
     assert rep.m0 == 8
     # doubling returns the first feasible power of two: its half fails
     assert not matchable(a, b, ExpThreshold(F(1)), rep.m0 // 2).feasible
+
+
+def test_degree_constrained_relation_pair_counts():
+    # groups of 1 and 2 words on the left, 3 words on the right: at m0 = 1
+    # every word has exactly one partner
+    left, right, anything = {"a": 1, "b": 2}, {"x": 3}, lambda z, w: True
+    relate = flows.degree_constrained_relation
+    assert relate(left, right, anything, 1) == {("a", "x"): 1, ("b", "x"): 2}
+    assert relate(left, right, lambda z, w: z == "a", 3) is None
+    assert relate(left, right, anything, 0) is None
 
 
 def test_matchable_search_cuts_once(monkeypatch):
