@@ -1,14 +1,10 @@
 """Decision procedures for bi-Lipschitz equivalence of dust-like systems.
 
-Every fact about a pair is read from one pair context, built once per
-``decide`` call over a single merged pseudo-basis.  Four stages run in
-this order, and the first verdict wins: the invariant screen (common
-basis, dimension, rank, cone); the iteration identity P_e**p0 == P_f**q0,
-which proves equivalence for any pair; the two-branch decider for rank-1
-pairs of two ratios each, the one non-coplanar family decided; and the
-coplanar refutations, by the paper's main theorem (see ``decide``).
-Dimensions refute only when a rational delta* certifiably lies between
-them (``_dimension``).  The polynomial and bracket arithmetic is in
+``decide`` runs ``STAGES`` in order on one pair context over a merged
+pseudo-basis, and the first verdict wins: the invariant screen ``SCREEN``
+(``_dimension``, ``_rank``, ``_cone``), the iteration identity
+(``_identity``), the two-branch decider (``_two_branch``) and the coplanar
+refutations (``_coplanar``).  The polynomial and bracket arithmetic is in
 ``poly``.  ``decide`` loads no third-party library.
 """
 from __future__ import annotations
@@ -16,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import poly
@@ -44,14 +41,21 @@ class _Pair(Record):
     """Facts about a pair, computed once.  ``e2``/``f2`` are ``e``/``f``
     over one merged pseudo-basis; ``points_*`` count their exponent points,
     in first-seen order (a repeated point changes no rank, and a repeated
-    row of <eta, X_j> = 1 is the same equation)."""
+    row of <eta, X_j> = 1 is the same equation).  The properties, which
+    several stages read, are computed on first read."""
 
     _fields = ("e", "f", "e2", "f2", "points_e", "points_f", "ranks")
 
-    def __init__(self, e: ContractionSystem, f: ContractionSystem,
-                 e2: ContractionSystem, f2: ContractionSystem,
-                 points_e: Counter, points_f: Counter, ranks: tuple):
+    def __init__(self, e, f, e2, f2, points_e: Counter, points_f: Counter, ranks):
         self._set(e, f, e2, f2, points_e, points_f, ranks)
+
+    @cached_property
+    def orders(self) -> Optional[tuple]:
+        return iteration_orders(self.e.m, self.f.m)
+
+    @cached_property
+    def coplanar(self) -> bool:  # both sides; f is not tested when e fails
+        return coplanar(list(self.points_e)) and coplanar(list(self.points_f))
 
 
 def _pair(e: ContractionSystem, f: ContractionSystem) -> _Pair:
@@ -106,65 +110,25 @@ def _dimension(pair: _Pair) -> Optional[Verdict]:
                     "delta_star": f"{delta.numerator}/{delta.denominator}"})
 
 
-def _screen(e: ContractionSystem, f: ContractionSystem):
-    """(pair context or None, first failing invariant's verdict or None)."""
-    try:
-        pair = _pair(e, f)
-    except IncompatibleSymbolicBases:
-        return None, Verdict(UNDECIDED, "NO_COMMON_BASIS")
-    verdict = _dimension(pair)
-    if verdict is not None:
-        return pair, verdict
+def _rank(pair: _Pair) -> Optional[Verdict]:
+    """NOT_EQUIVALENT ``rank`` when the two sides' points span unequal ranks."""
     rank_e, rank_f = pair.ranks
-    if rank_e != rank_f:
-        return pair, Verdict(NOT_EQUIVALENT, "rank",
-                             {"invariant": "rank", "values": [rank_e, rank_f]})
+    return None if rank_e == rank_f else Verdict(
+        NOT_EQUIVALENT, "rank", {"invariant": "rank", "values": [rank_e, rank_f]})
+
+
+def _cone(pair: _Pair) -> Optional[Verdict]:
+    """NOT_EQUIVALENT ``cone`` when the cones differ: ``values`` holds both
+    sides' exponent vectors, and ``functional`` = {"side": i, "y": y, "point":
+    j} has y . X >= 0 on every X in values[i] and y . values[1 - i][j] < 0."""
     separation = cone_separation(pair.e2.cone, pair.f2.cone)
-    if separation is not None:
-        side, y, j = separation
-        return pair, Verdict(NOT_EQUIVALENT, "cone",
-                             {"invariant": "cone",
-                              "values": [list(map(list, pair.e2.exponents)),
-                                         list(map(list, pair.f2.exponents))],
-                              "functional": {"side": side, "y": list(y),
-                                             "point": j}})
-    return pair, None
-
-
-def screen_invariants(e: ContractionSystem,
-                      f: ContractionSystem) -> Optional[Verdict]:
-    """Necessary-invariant screen; first failing invariant wins.
-
-    Checks, in order: a common pseudo-basis (UNDECIDED without one),
-    Hausdorff dimension (see ``_dimension``), rank and cone equality.
-    Returns None when all pass.  A dimension refutation's certificate
-    holds a rational ``delta_star`` ("p/q") strictly between the two
-    dimensions.  A cone refutation's certificate holds
-    both sides' exponent vectors in ``values`` and a separating integer
-    functional in ``functional``: ``{"side": i, "y": y, "point": j}``
-    with ``y . X >= 0`` for every X in ``values[i]`` and
-    ``y . values[1 - i][j] < 0``.
-    """
-    return _screen(e, f)[1]
-
-
-def _two_branch(pair: _Pair) -> Optional[Verdict]:
-    """Complete decider for rank-1 pairs with m = n = 2: permutation
-    (already ruled out by ``decide``), or the one exceptional pair of
-    exponent patterns {c, 5c} vs {2c, 3c} over the same rank-1 group."""
-    e, f = pair.e, pair.f
-    if pair.ranks != (1, 1) or e.m != 2 or f.m != 2:
+    if separation is None:
         return None
-    if e.dim == 1 and f.dim == 1 and e.basis == f.basis:
-        a = sorted(v[0] for v in e.exponents)
-        b = sorted(v[0] for v in f.exponents)
-        for x, y in ((a, b), (b, a)):
-            c = x[0]
-            if c >= 1 and x == [c, 5 * c] and y == [2 * c, 3 * c]:
-                return Verdict(EQUIVALENT, "TWO_BRANCH_SPECIAL",
-                               {"tag": "TWO_BRANCH_SPECIAL"})
-    return Verdict(NOT_EQUIVALENT, "two_branch",
-                   {"invariant": "two_branch", "values": []})
+    side, y, j = separation
+    return Verdict(NOT_EQUIVALENT, "cone", {
+        "invariant": "cone",
+        "values": [list(map(list, pair.e2.exponents)), list(map(list, pair.f2.exponents))],
+        "functional": {"side": side, "y": list(y), "point": j}})
 
 
 def _primitive_root(n: int):
@@ -182,16 +146,14 @@ def iteration_orders(m: int, n: int) -> Optional[tuple]:
     r of both, and then a*p == b*q: every solution is t*(p0, q0) with
     g = gcd(a, b), p0 = b/g and q0 = a/g.
     """
-    rm, a = _primitive_root(m)
-    rn, b = _primitive_root(n)
+    (rm, a), (rn, b) = map(_primitive_root, (m, n))
     if rm != rn:
         return None
     g = math.gcd(a, b)
     return b // g, a // g
 
 
-def _permutation_witness(e: ContractionSystem, f: ContractionSystem,
-                         p: int, q: int):
+def _permutation_witness(e: ContractionSystem, f: ContractionSystem, p: int, q: int):
     """Index map from the p-th iteration of ``e`` onto equal ratios of the
     q-th iteration of ``f``; always given for p = 1, else None past
     PERMUTATION_CERT_LIMIT ratios (a checker then compares ratio multisets)."""
@@ -203,6 +165,89 @@ def _permutation_witness(e: ContractionSystem, f: ContractionSystem,
     return tuple(buckets[r].pop() for r in iterate(e, p).ratios)
 
 
+def _identity(pair: _Pair) -> Optional[Verdict]:
+    """EQUIVALENT ``ITERATION_PERMUTATION`` when P_e**p0 == P_f**q0 for
+    P = sum_j x**X_j over the common basis (the p0-th iteration of e then
+    permutes the q0-th of f, for any pair).  No other (p, q) can hold:
+    m**p == n**q, so (p, q) = t*(p0, q0) (``iteration_orders``); and A**t ==
+    B**t for A = P_e**p0, B = P_f**q0 makes A/B a root of unity in Q(x), so
+    +-1, and positive coefficients force A == B.  Unequal values at a point
+    of primes (``poly._value``) refute it with no budget; equal values lead
+    to the expansion, UNDECIDED SEARCH_BOUND past ITERATION_BUDGET term
+    products."""
+    if pair.orders is None:
+        return None
+    p, q = pair.orders
+    try:
+        holds = (poly._value(pair.points_e) ** p == poly._value(pair.points_f) ** q
+                 and poly._power(pair.points_e, p) == poly._power(pair.points_f, q))
+    except ResourceLimit:
+        return Verdict(UNDECIDED, "SEARCH_BOUND",
+                       {"p": p, "q": q, "budget": poly.ITERATION_BUDGET})
+    if holds:
+        return Verdict(EQUIVALENT, "ITERATION_PERMUTATION", {
+            "p": p, "q": q, "permutation": _permutation_witness(pair.e, pair.f, p, q)})
+    return None
+
+
+def _two_branch(pair: _Pair) -> Optional[Verdict]:
+    """Complete decider for rank-1 pairs with m = n = 2: permutation
+    (already ruled out by ``_identity``), or the one exceptional pair of
+    exponent patterns {c, 5c} vs {2c, 3c} over the same rank-1 group.
+    Such a pair is not coplanar unless a side repeats its ratio."""
+    e, f = pair.e, pair.f
+    if pair.ranks != (1, 1) or e.m != 2 or f.m != 2:
+        return None
+    if e.dim == 1 and f.dim == 1 and e.basis == f.basis:
+        a, b = (sorted(v[0] for v in side.exponents) for side in (e, f))
+        for x, y in ((a, b), (b, a)):
+            c = x[0]
+            if c >= 1 and x == [c, 5 * c] and y == [2 * c, 3 * c]:
+                return Verdict(EQUIVALENT, "TWO_BRANCH_SPECIAL",
+                               {"tag": "TWO_BRANCH_SPECIAL"})
+    return Verdict(NOT_EQUIVALENT, "two_branch", {"invariant": "two_branch", "values": []})
+
+
+def _coplanar(pair: _Pair) -> Optional[Verdict]:
+    """NOT_EQUIVALENT for a coplanar pair that ``_identity`` did not prove:
+    by the paper's main theorem it is equivalent iff P_e**p == P_f**q for
+    some p, q.  NO_ITERATION_CARDINALITY when m**p == n**q has no solution,
+    else NO_ITERATION_PERMUTATION.  Axis-supported points (eta_i = 1/c_i)
+    and independent points are coplanar, so they need no stage of their own."""
+    if not pair.coplanar:
+        return None
+    if pair.orders is None:
+        return Verdict(NOT_EQUIVALENT, "NO_ITERATION_CARDINALITY", {
+            "invariant": "NO_ITERATION_CARDINALITY", "values": [pair.e.m, pair.f.m]})
+    p, q = pair.orders
+    return Verdict(NOT_EQUIVALENT, "NO_ITERATION_PERMUTATION", {"p": p, "q": q})
+
+
+SCREEN = (_dimension, _rank, _cone)
+STAGES = SCREEN + (_identity, _two_branch, _coplanar)
+
+
+def _first(stages, e, f, rest=lambda pair: None) -> Optional[Verdict]:
+    """The first verdict of the stages on the pair, else ``rest(pair)``."""
+    try:
+        pair = _pair(e, f)
+    except IncompatibleSymbolicBases:
+        return Verdict(UNDECIDED, "NO_COMMON_BASIS")
+    for stage in stages:
+        verdict = stage(pair)
+        if verdict is not None:
+            return verdict
+    return rest(pair)
+
+
+def screen_invariants(e: ContractionSystem, f: ContractionSystem) -> Optional[Verdict]:
+    """Necessary-invariant screen: a common pseudo-basis (UNDECIDED
+    without one), then the first verdict of ``SCREEN``: Hausdorff dimension
+    (a rational ``delta_star`` "p/q" between the two), rank and cone
+    equality.  None when all pass."""
+    return _first(SCREEN, e, f)
+
+
 def _gamma_diagnostics(pair: _Pair) -> dict:
     """Both sides' growth rates (``growth.gamma``) along the centroid of
     e's points, over one joint basis.  The exact sum of the points is the
@@ -211,8 +256,7 @@ def _gamma_diagnostics(pair: _Pair) -> dict:
     from .growth import gamma
 
     e2, f2 = pair.e2, pair.f2
-    _, joint = reduce_to_pseudo_basis(
-        e2.basis, list(e2.exponents) + list(f2.exponents))
+    _, joint = reduce_to_pseudo_basis(e2.basis, list(e2.exponents) + list(f2.exponents))
     ve, vf = joint[: e2.m], joint[e2.m:]
     centroid = [sum(column) for column in zip(*ve)]
     ge = gamma(make_defining_data(ve), centroid)
@@ -223,54 +267,9 @@ def _gamma_diagnostics(pair: _Pair) -> dict:
 
 def decide(e: ContractionSystem, f: ContractionSystem,
            diagnostics: bool = False) -> Verdict:
-    """Full decision pipeline, in the four stages of the module docstring.
-
-    The paper's main theorem: a coplanar pair is Lipschitz equivalent iff
-    P_e**p == P_f**q for some p, q and P = sum_j x**X_j over the common
-    basis (the p-th iteration of e permutes the q-th of f).  Then m**p ==
-    n**q, so (p, q) = t*(p0, q0) (``iteration_orders``); and A**t == B**t
-    for A = P_e**p0, B = P_f**q0 makes A/B a root of unity in Q(x), so +-1,
-    and positive coefficients force A == B.  So only (p0, q0) is checked.
-    Unequal values of A and B at a point of primes (``poly._value``) refute
-    it with no budget; equal values prove nothing and lead to the expansion,
-    UNDECIDED SEARCH_BOUND past ITERATION_BUDGET term products.  A coplanar
-    pair that fails it is NOT_EQUIVALENT, NO_ITERATION_CARDINALITY when
-    m**p == n**q has no solution.  Rank-1 pairs of two ratios each, not
-    coplanar unless a side repeats its ratio, go to ``_two_branch`` first.
-
-    Special cases need no stage of their own: equal ratio multisets are the
-    identity at (1, 1); axis-supported points (one value c_i on each axis
-    i) and independent points are coplanar (eta_i = 1/c_i, or appending
-    the column of ones to independent rows keeps them independent), and a
-    full-rank pair has m == n after the rank screen, so (1, 1) leaves only
-    permutation.
-    """
-    pair, verdict = _screen(e, f)
-    if verdict is not None:
-        return verdict
-    orders = iteration_orders(e.m, f.m)
-    if orders is not None:
-        p, q = orders
-        try:
-            holds = (poly._value(pair.points_e) ** p == poly._value(pair.points_f) ** q
-                     and poly._power(pair.points_e, p) == poly._power(pair.points_f, q))
-        except ResourceLimit:
-            return Verdict(UNDECIDED, "SEARCH_BOUND",
-                           {"p": p, "q": q, "budget": poly.ITERATION_BUDGET})
-        if holds:
-            return Verdict(EQUIVALENT, "ITERATION_PERMUTATION",
-                           {"p": p, "q": q,
-                            "permutation": _permutation_witness(e, f, p, q)})
-    verdict = _two_branch(pair)
-    if verdict is not None:
-        return verdict
-    if coplanar(list(pair.points_e)) and coplanar(list(pair.points_f)):
-        # the main theorem: no iterations permute each other
-        if orders is None:
-            return Verdict(NOT_EQUIVALENT, "NO_ITERATION_CARDINALITY",
-                           {"invariant": "NO_ITERATION_CARDINALITY",
-                            "values": [e.m, f.m]})
-        return Verdict(NOT_EQUIVALENT, "NO_ITERATION_PERMUTATION",
-                       {"p": orders[0], "q": orders[1]})
-    diag = _gamma_diagnostics(pair) if diagnostics else None
-    return Verdict(UNDECIDED, "OUTSIDE_DECIDABLE_FAMILIES", None, diag)
+    """The first verdict of ``STAGES`` (module docstring), else UNDECIDED
+    OUTSIDE_DECIDABLE_FAMILIES, with both sides' growth rates when
+    ``diagnostics`` is set."""
+    return _first(STAGES, e, f, lambda pair: Verdict(
+        UNDECIDED, "OUTSIDE_DECIDABLE_FAMILIES", None,
+        _gamma_diagnostics(pair) if diagnostics else None))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -27,7 +28,7 @@ from .lattice import (
     parse_rational,
     reduce_to_pseudo_basis,
 )
-from .poly import ITERATION_BUDGET, _Brackets, _walk
+from .poly import ITERATION_BUDGET, _Brackets, _brackets, _walk
 from .record import Record
 
 SCORE_ERR = 2.0 ** -45  # float e^{-k} score error per unit of k and denominator bit
@@ -248,19 +249,51 @@ class CutSet(Record):
         self._set(threshold, words, ratios, exponents)
 
 
+def _past_budget(system: ContractionSystem, t: Threshold, word_budget: int) -> bool:
+    """Whether the cut-set at t certifiably holds more than ``word_budget``
+    words, for a numeric system, t < 1 and a budget of 2 or more (ln 1 has
+    no bracket away from 0).  Its words w have sum_w rho_w**delta = 1 and
+    every rho_w <= t, so there are at least t**-delta of them: more than
+    the budget when a rational delta_lo < delta (the sign of the dimension
+    equation, in decimal brackets) has delta_lo * ln(1/t) > ln(word_budget).
+    A float test of delta * ln(1/t) skips the brackets for cut-sets that it
+    does not already put past the budget."""
+    exp_k = isinstance(t, ExpThreshold)
+    if system.is_symbolic or word_budget < 2 or not (exp_k or 0 < t < 1):
+        return False
+    approx = float(min(t.k, K_CAP)) if exp_k else \
+        math.log(t.denominator) - math.log(t.numerator)
+    if not system.delta * approx > math.log(word_budget):
+        return False
+    delta = Fraction(system.delta) * (1 - Fraction(1, 10 ** 9))
+    points = Counter(system.exponents)
+    for br in _brackets(system.basis.values):
+        sign = br.sign(points, delta)
+        if sign:
+            break
+    if sign <= 0:
+        return False
+    logs = _Brackets([Fraction(1, word_budget)] + ([] if exp_k else [t]), 24).logs
+    return delta * (t.k if exp_k else Fraction(logs[1][0])) > Fraction(logs[0][1])
+
+
 def cut_set(system: ContractionSystem, t: Threshold,
             word_budget: int = DEFAULT_WORD_BUDGET) -> CutSet:
     """The cut-set at threshold t, in lexicographic word order.
 
-    Each word w has ratio(w) <= t < ratio(parent of w).  The lattice walk
-    counts the words at every point first, comparing each point with t
-    once; past ``word_budget`` words nothing is built.  The cut-set is a
-    full m-ary tree's leaves, so N words lie on at most 2N - 1 points, and
-    the walk stops past 2 * word_budget.  The words are then read off the
-    prefix points, letters in increasing order.
+    Each word w has ratio(w) <= t < ratio(parent of w).  A cut-set that
+    certifiably holds more than ``word_budget`` words is refused before
+    any walk (``_past_budget``).  The lattice walk counts the words at
+    every point first, comparing each point with t once; past
+    ``word_budget`` words nothing is built.  The cut-set is a full m-ary
+    tree's leaves, so N words lie on at most 2N - 1 points, and the walk
+    stops past 2 * word_budget.  The words are then read off the prefix
+    points, letters in increasing order.
     """
     over = (f"cut-set exceeds {word_budget} words (raise word_budget; "
             f"default DEFAULT_WORD_BUDGET = {DEFAULT_WORD_BUDGET})")
+    if _past_budget(system, t, word_budget):
+        raise ResourceLimit(over)
     _, cut = _walk(system.exponents, system.alpha, 2 * word_budget, over,
                    leaf=lambda z: _ratio_below(system, z, t))
     if sum(cut.values()) > word_budget:

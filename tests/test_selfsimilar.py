@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -415,8 +416,8 @@ def test_budget_errors_name_constant_and_keyword():
 
 
 def test_cut_set_refuses_before_building_words(monkeypatch):
-    # about 10^10 words at e^{-30}, on some 600 points: refused from the
-    # per-point counts, before any word is built (500000 words of some 30
+    # about 10^10 words at e^{-30}: refused before any word is built, by
+    # the bound t**-delta on the word count (500000 words of some 30
     # letters would take far more than 4 MB)
     def no_words(*args):
         raise AssertionError("a word was built")
@@ -444,12 +445,64 @@ except ResourceLimit as exc:
 
 
 def test_deep_cut_set_is_bounded():
-    # every point of the walk lies above e^{-10^6}; the walk stops past
-    # 2 * word_budget points
+    # the cut-set at e^{-10^6} holds at least e^{10^6 delta} words, so it
+    # is refused by that bound before the walk
     proc = subprocess.run([sys.executable, "-c", DEEP_CUT_SCRIPT], env=_env(),
                           capture_output=True, text=True, timeout=20, check=True)
     assert proc.stdout == ("cut-set exceeds 100 words (raise word_budget; "
                            "default DEFAULT_WORD_BUDGET = 500000)\n")
+
+
+def test_deep_cut_refusal_is_fast():
+    s = build_system(["1/2", "1/3"])
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit) as info:
+        cut_set(s, ExpThreshold(10 ** 6))
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == ("cut-set exceeds 500000 words (raise word_budget; "
+                               "default DEFAULT_WORD_BUDGET = 500000)")
+
+
+def _brute_force_cut_size(system, t) -> int:
+    """Words w with ratio(w) <= t < ratio(parent of w), counted by a
+    depth-first walk over exact ratios (e^{-k} at 60 digits)."""
+    if isinstance(t, ExpThreshold):
+        with mpmath.workdps(60):
+            bound = mpmath.exp(-mpmath.mpf(t.k.numerator) / t.k.denominator)
+            below = lambda r: mpmath.mpf(r.numerator) / r.denominator <= bound
+    else:
+        below = lambda r: r <= t
+    count, stack = 0, [Fraction(1)]
+    while stack:
+        r = stack.pop()
+        for rho in system.ratios:
+            if below(r * rho):
+                count += 1
+            else:
+                stack.append(r * rho)
+    return count
+
+
+def test_budget_bound_never_fires_on_a_cut_set_within_budget():
+    # budgets at, below and above t**-delta; the bound may refuse only
+    # budgets below the true word count, and must refuse some of them
+    rng = random.Random(20261022)
+    pool = ["1/2", "1/3", "2/5", "1/4", "3/7", "2/3", "3/4", "1/6", "5/9"]
+    fired = 0
+    for _ in range(60):
+        s = build_system(rng.sample(pool, rng.choice([2, 3])))
+        log_t = math.log(rng.randint(2, 2000)) / s.delta  # about that many words
+        t = (ExpThreshold(Fraction(log_t).limit_denominator(100)) if rng.random() < 0.5
+             else Fraction(1, round(math.exp(log_t))))
+        n = _brute_force_cut_size(s, t)
+        assert len(cut_set(s, t, word_budget=n).words) == n
+        log_t = float(t.k) if isinstance(t, ExpThreshold) else -math.log(t)
+        floor = math.floor(math.exp(s.delta * log_t))
+        for budget in {n, n + 1, floor + 1, floor, floor - 1, n - 1, 1}:
+            if budget >= 1 and selfsimilar._past_budget(s, t, budget):
+                assert n > budget, (s.ratios, t, budget, n)
+                fired += 1
+    assert fired > 0
 
 
 def test_common_basis_numeric():

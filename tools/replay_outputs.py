@@ -1,7 +1,7 @@
 """Replay the benchmark's jobs on froblip checkouts and compare the outputs.
 
     python3 tools/replay_outputs.py SRC [SRC2] [--rounds N] [--seeds S ...]
-                                    [--hash-seeds H ...]
+                                    [--hash-seeds H ...] [--time T]
 
 SRC and SRC2 are the ``src`` directories of froblip checkouts; put them
 before the options, or ``--`` before them, since each seed list takes
@@ -17,6 +17,16 @@ its output file.  Every run is compared with the first, job by job; the
 tool prints the jobs whose outcomes differ and exits 1 if there are any.
 With one checkout and two hash seeds it checks that the outputs do not
 depend on the hash seed.
+
+With ``--time T`` and two checkouts, each checkout then runs the same jobs
+T more times, under the first hash seed, in one worker per checkout fed
+job by job: each job runs on both checkouts in turn, the two alternating
+which runs it first, so that the machine's drift falls on both alike.
+Each worker times every job; the times are not part of the outcome
+compared.  Per workload, the tool prints the median and quartiles over
+its jobs of the per-job ratio SRC2 / SRC, each side the median of its T
+times, and each checkout's summed job seconds (those medians summed).
+The jobs are drawn once, so no workload slot can run out of inputs.
 """
 import argparse
 import contextlib
@@ -24,6 +34,7 @@ import hashlib
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -54,14 +65,15 @@ def draw_jobs(rounds: int, seeds) -> list:
                     paths = {role: f"{n}-{role}.json" for role in job.docs}
                     files = {paths[role]: doc for role, doc in job.docs.items()}
                     jobs.append({"name": f"seed {seed} {name} round {r} {job.slot}",
-                                 "files": files, "argv": job.argv(paths, f"{n}-out")})
+                                 "workload": name, "files": files,
+                                 "argv": job.argv(paths, f"{n}-out")})
     return jobs
 
 
 def work(src: str):
-    """The worker: reads the jobs from stdin, runs each through
-    ``froblip.cli.main`` and prints one JSON line of outcome per job."""
-    jobs = json.load(sys.stdin)
+    """The worker: reads one JSON job per line from stdin, runs each through
+    ``froblip.cli.main`` and prints one JSON line of outcome per job, with
+    the job's seconds."""
     import froblip.cli
 
     path = os.path.abspath(froblip.cli.__file__)
@@ -69,12 +81,14 @@ def work(src: str):
         sys.exit(f"froblip was imported from {path}, not {src}")
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for job in jobs:
+        for line in sys.stdin:
+            job = json.loads(line)
             for path, doc in job["files"].items():
                 with open(path, "w") as fh:
                     json.dump(doc, fh)
             out, err = io.StringIO(), io.StringIO()
             rc = error = None
+            start = time.perf_counter()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
                     rc = froblip.cli.main(job["argv"])
@@ -82,6 +96,7 @@ def work(src: str):
                     rc = exc.code
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
+            seconds = time.perf_counter() - start
             target = job["argv"][-1]
             digest = None
             if os.path.exists(target):
@@ -89,18 +104,53 @@ def work(src: str):
                     digest = hashlib.sha256(fh.read()).hexdigest()
                 os.remove(target)
             print(json.dumps({"rc": rc, "error": error, "stdout": out.getvalue(),
-                              "stderr": err.getvalue(), "output_sha256": digest}),
-                  flush=True)
+                              "stderr": err.getvalue(), "output_sha256": digest,
+                              "seconds": seconds}), flush=True)
+
+
+def _env(src: str, hash_seed: str) -> dict:
+    return dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 
 def replay(src: str, hash_seed: str, jobs: list) -> list:
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    proc = subprocess.run([sys.executable, "-c", WORKER, src], input=json.dumps(jobs),
-                          env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", WORKER, src],
+                          input="".join(json.dumps(job) + "\n" for job in jobs),
+                          env=_env(src, hash_seed), capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"replay on {src} (PYTHONHASHSEED={hash_seed}) failed:\n{proc.stderr}")
     return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def time_jobs(srcs, hash_seed: str, jobs: list, times: int):
+    """Runs each job ``times`` more times on both checkouts in turn,
+    alternating which goes first, and prints the per-workload summary of
+    the module docstring."""
+    workers = [subprocess.Popen([sys.executable, "-c", WORKER, src], text=True,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                env=_env(src, hash_seed)) for src in srcs]
+    seconds = [[[] for _ in jobs] for _ in srcs]  # per checkout, per job
+    for i in range(times):
+        for j, job in enumerate(jobs):
+            for k in (0, 1) if (i + j) % 2 == 0 else (1, 0):
+                workers[k].stdin.write(json.dumps(job) + "\n")
+                workers[k].stdin.flush()
+                line = workers[k].stdout.readline()
+                if not line:
+                    sys.exit(f"the timing worker on {srcs[k]} stopped")
+                seconds[k][j].append(json.loads(line)["seconds"])
+    for worker in workers:
+        worker.stdin.close()
+        worker.wait()
+    base, new = ([statistics.median(t) for t in side] for side in seconds)
+    for workload in dict.fromkeys(job["workload"] for job in jobs):
+        index = [i for i, job in enumerate(jobs) if job["workload"] == workload]
+        lo, mid, hi = statistics.quantiles([new[i] / base[i] for i in index], n=4,
+                                           method="inclusive")
+        print(f"{workload}: per-job time {srcs[1]} / {srcs[0]}: median {mid:.3f}, "
+              f"quartiles {lo:.3f}-{hi:.3f}, over {len(index)} jobs; summed job "
+              f"seconds {sum(base[i] for i in index):.2f} ({srcs[0]}), "
+              f"{sum(new[i] for i in index):.2f} ({srcs[1]})")
 
 
 def main():
@@ -108,10 +158,13 @@ def main():
     p.add_argument("--rounds", type=int, default=1)
     p.add_argument("--seeds", type=int, nargs="+", default=[1])
     p.add_argument("--hash-seeds", nargs="+", default=["0"])
+    p.add_argument("--time", type=int, default=0, metavar="T")
     p.add_argument("srcs", nargs="+", metavar="SRC")
     args = p.parse_args()
     if len(args.srcs) > 2:
         p.error("give one or two checkouts")
+    if args.time and len(args.srcs) != 2:
+        p.error("--time compares two checkouts")
     jobs = draw_jobs(args.rounds, args.seeds)
     runs = []
     for src in args.srcs:
@@ -120,6 +173,9 @@ def main():
             name = f"{src} PYTHONHASHSEED={hash_seed}"
             runs.append((name, replay(src, hash_seed, jobs)))
             print(f"{name}: {len(jobs)} jobs in {time.perf_counter() - t:.1f} s")
+    for _, outcomes in runs:
+        for outcome in outcomes:
+            del outcome["seconds"]
     (ref_name, ref), differ = runs[0], 0
     for name, outcomes in runs[1:]:
         for job, a, b in zip(jobs, ref, outcomes):
@@ -134,6 +190,8 @@ def main():
         print(f"{differ} job outcomes differ from {ref_name}")
         sys.exit(1)
     print(f"no difference: {len(jobs)} jobs, {len(runs)} runs")
+    if args.time:
+        time_jobs(args.srcs, args.hash_seeds[0], jobs, args.time)
 
 
 if __name__ == "__main__":
